@@ -4,8 +4,9 @@ Let X(t) = x exp(B(t) - 2 mu t) with E B(t)^2 = 2t and x > 1, and let
 tau be the first time X hits 1.  The package evaluates the density of
 the integral functional A(tau) = int_0^tau X(s)^2 ds, its tail
 behaviour, and the Poisson kernel of half-spaces in real hyperbolic
-space that this functional represents, together with Monte Carlo and
-quadrature cross-checks of every analytic route.
+space that this functional represents.  The test suite checks the
+analytic routes against closed forms at half-integer drift, scipy's
+Bessel-ratio Laplace transform and independent quadratures.
 """
 
 from .errors import (

@@ -28,6 +28,7 @@ the density of the unstopped limit functional.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -36,7 +37,7 @@ import numpy as np
 from scipy import special as sp
 
 from .bessel import gamma_fn, is_half_integer
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import (
     QuadratureSpec,
     integrate_finite,
@@ -58,10 +59,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # stop and the remaining pure-polynomial tail is completed exactly
 _S_CUT = 512.0
 
-# the kernel quadrature grid resolves e^{-u v} down to u ~ 1/v; past
-# this v the theorem tail model of w2 is more accurate than the grid
-_W2_EXACT_VMAX = 1e8
-
 # relative roundoff budget of the direct route before it hands the
 # point over to the substituted route (the estimate can undershoot the
 # realized error by a small factor, hence the margin under 1e-9)
@@ -81,7 +78,7 @@ class DensityEvaluator:
     subtraction the kernel tail can absorb).  t_switch caps the direct
     route; evaluations may fall back to the substituted route earlier
     when the direct route's own cancellation estimate crosses
-    1e-9 relative.
+    _DIRECT_LOSS_TOL (2e-10 relative).
     """
 
     params: ModelParams
@@ -112,24 +109,6 @@ def build_evaluator(params: ModelParams,
 
 # ---------------------------------------------------------------------
 # kernel-weighted exponentials
-
-def _w_eval_far(ev: DensityEvaluator, v: np.ndarray) -> np.ndarray:
-    """Kernel values for arbitrarily large v at full working accuracy.
-
-    Uses the exact batch evaluation of the continuous part while the
-    quadrature grid still resolves e^{-u v} and the theorem tail model
-    beyond; the discrete part is always exact.
-    """
-    v = np.asarray(v, dtype=float)
-    out = ev.w.w1(v)
-    if ev.w.has_continuous:
-        near = v <= _W2_EXACT_VMAX
-        if near.any():
-            out[near] += ev.w.w2_exact(v[near])
-        if (~near).any():
-            out[~near] += ev.w._w2_tail_model(v[~near])
-    return out
-
 
 def _exp_weighted_integral(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     """S(t) = int_0^infty e^{-kappa/4t} w(v) dv for an array of t > 0.
@@ -235,7 +214,7 @@ def _q_substituted(ev: DensityEvaluator, t: float) -> float:
         s = np.asarray(s, dtype=float)
         root = np.sqrt(4.0 * s * t + lam * lam)
         v = 4.0 * s * t / (root + lam)
-        return _w_eval_far(ev, v) * _subtracted_exp(s, l) * (2.0 * t / root)
+        return ev.w.eval(v) * _subtracted_exp(s, l) * (2.0 * t / root)
 
     spec = replace(ev.quad,
                    split_points=(1e-6, 1e-4, 1e-2, 0.25, 1.0, 4.0, 16.0,
@@ -399,14 +378,28 @@ def total_mass(ev: DensityEvaluator) -> float:
     return p.x ** (p.mu - 0.5) - p.lam * v1
 
 
+def _survival_coef(j: int, lam: float, z0: float) -> float:
+    """Coefficient c_j of kappa^j in the t-integral of the j-th term of
+    the subtracted exponential, z0 = lam^2/4T:
+
+        c_j = (-1)^{j+1}/(j! 4^j) (4/lam^2)^{j-1/2} Gamma(j-1/2)
+              P(j-1/2, z0),
+
+    with P the regularized lower incomplete gamma.
+    """
+    return ((-1) ** (j + 1) / math.factorial(j) / 4.0 ** j
+            * (4.0 / (lam * lam)) ** (j - 0.5)
+            * gamma_fn(j - 0.5) * sp.gammainc(j - 0.5, z0))
+
+
 def _survival_kernel(ev: DensityEvaluator, v: np.ndarray,
                      big_t: float) -> np.ndarray:
     """G(v) = int_T^infty t^{-1/2} e^{-lam^2/4t} E_l(kappa/4t) dt.
 
-    Closed form through erf and lower incomplete gammas; for
-    kappa << T the alternating remainder series over j > l is used
-    instead, because there the closed pieces cancel to the first
-    surviving term.
+    Closed form through erf and the polynomial sum_{j <= l} c_j kappa^j;
+    for kappa << T the alternating remainder -sum_{j > l} c_j kappa^j
+    is used instead, because there the closed pieces cancel to the
+    first surviving term.
     """
     p = ev.params
     lam = p.lam
@@ -421,15 +414,10 @@ def _survival_kernel(ev: DensityEvaluator, v: np.ndarray,
     if series.any():
         ks = kap[series]
         acc = np.zeros_like(ks)
-        term_scale = np.ones_like(ks)
         for j in range(l + 1, l + 60):
-            cj = ((-1) ** j / math.factorial(j) / 4.0 ** j
-                  * (4.0 / (lam * lam)) ** (j - 0.5)
-                  * gamma_fn(j - 0.5) * sp.gammainc(j - 0.5, z0))
-            term = cj * ks ** j
+            term = -_survival_coef(j, lam, z0) * ks ** j
             acc += term
-            term_scale = np.abs(term)
-            if np.all(term_scale <= 1e-17 * np.abs(acc) + 1e-320):
+            if np.all(np.abs(term) <= 1e-17 * np.abs(acc) + 1e-320):
                 break
         out[series] = acc
 
@@ -441,9 +429,7 @@ def _survival_kernel(ev: DensityEvaluator, v: np.ndarray,
                     - lam * math.erf(lam / (2.0 * sq)))
         g = 2.0 * sq * e_diff - _SQRT_PI * erf_part
         for j in range(1, l + 1):
-            g += ((-1) ** (j + 1) / math.factorial(j)
-                  * (kb / 4.0) ** j * (4.0 / (lam * lam)) ** (j - 0.5)
-                  * gamma_fn(j - 0.5) * sp.gammainc(j - 0.5, z0))
+            g += _survival_coef(j, lam, z0) * kb ** j
         out[~series] = g
     return out
 
@@ -474,7 +460,7 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
 
     def integrand(v):
         v = np.asarray(v, dtype=float)
-        return _w_eval_far(ev, v) * _survival_kernel(ev, v, big_t)
+        return ev.w.eval(v) * _survival_kernel(ev, v, big_t)
 
     splits = tuple(s for s in (min(1.0, lam), 1.0 + lam, 10.0 * (1.0 + lam),
                                0.5 * sq, sq, 3.0 * sq) if 0.0 < s < v_hi)
@@ -489,10 +475,8 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
     comp = (a0 * w_power_moment_tail(ev.w, 0, v_hi)
             - _SQRT_PI * w_power_moment_tail(ev.w, 1, v_hi))
     for j in range(1, l + 1):
-        cj = ((-1) ** (j + 1) / math.factorial(j) / 4.0 ** j
-              * (4.0 / (lam * lam)) ** (j - 0.5)
-              * gamma_fn(j - 0.5) * sp.gammainc(j - 0.5, z0))
-        comp += cj * w_kappa_moment_tail(ev.w, j, v_hi)
+        comp += _survival_coef(j, lam, z0) * w_kappa_moment_tail(ev.w, j,
+                                                                  v_hi)
 
     return lam / _SQRT_PI * (acc + quad_part + comp)
 
@@ -527,106 +511,43 @@ class TailConstant:
     regime: str
 
 
-def _accelerated_limit(g: np.ndarray, ratio: float) -> Tuple[float, float]:
-    """Limit of a sequence sampled on a geometric grid, two sweeps.
-
-    Each sweep estimates the geometric decay factor of consecutive
-    differences (robustly, from the last few ratios) and applies one
-    Richardson elimination with it.
-    """
-    seq = np.asarray(g, dtype=float)
-    for _ in range(2):
-        if seq.size < 4:
-            break
-        d = np.diff(seq)
-        scale = float(np.max(np.abs(seq)))
-        if np.max(np.abs(d[-3:])) <= 1e-11 * scale:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhos = d[:-1] / d[1:]
-        rhos = rhos[np.isfinite(rhos)][-3:]
-        if rhos.size == 0:
-            break
-        rho = float(np.median(rhos))
-        if not (rho > 1.05):
-            break
-        seq = seq[1:] + d / (rho - 1.0)
-    err = abs(float(seq[-1]) - float(seq[-2])) if seq.size >= 2 else np.inf
-    return float(seq[-1]), err
-
-
 def tail_constant(ev: DensityEvaluator) -> TailConstant:
-    """Constant in the tail law of q.
+    """Constant in the tail law of q, in closed form.
 
-    Half-integer drifts admit the closed route through the first
-    non-vanishing kappa moment (and the pure 1/2-stable value at
-    mu = 1/2).  Otherwise the constant is measured from q itself on a
-    geometric t-grid of ratio 4 with 12 points and two extrapolation
-    sweeps; no closed expression is claimed for general drift.
+    q(t) ~ C t^{-mu-1} with C = (x^{2 mu} - 1)/(4^mu Gamma(mu)) for
+    mu > 0, and q(t) ~ 2 log x / (t log^2 t) for mu = 0.
     """
-    p = ev.params
-    mu, lam = p.mu, p.lam
-    if is_half_integer(mu):
-        if mu == 0.5:
-            return TailConstant(mu=mu, value=lam / (2.0 * _SQRT_PI),
-                                regime="power")
-        m = int(round(mu + 0.5))
-        val = (lam * ((-1) ** m / (4.0 ** m * math.factorial(m)))
-               * w_moment(ev.w, m) / _SQRT_PI)
-        if not (val > 0.0):
-            raise ConvergenceError(
-                "closed tail-constant route produced a nonpositive value",
-                estimate=val, err_est=np.inf)
-        return TailConstant(mu=mu, value=val, regime="power")
-
-    t0 = max(1e4, 10.0 * ev.t_switch)
-    ts = t0 * 4.0 ** np.arange(12)
-    qs = q_density(ev, ts)
+    mu, x = ev.params.mu, ev.params.x
     if mu == 0.0:
-        g = np.log(ts) ** 2 * ts * qs
-        # corrections are a series in 1/log t: quadratic fit in that
-        # variable on the last points, read off at 0
-        xi = 1.0 / np.log(ts[-8:])
-        coeffs = np.polyfit(xi, g[-8:], 2)
-        val = float(coeffs[-1])
-        lin = np.polyfit(xi, g[-8:], 1)
-        err = abs(val - float(lin[-1]))
-        regime = "log"
-    else:
-        g = ts ** (mu + 1.0) * qs
-        val, err = _accelerated_limit(g, ratio=4.0)
-        regime = "power"
-    if not (val > 0.0) or not np.isfinite(val):
-        raise ConvergenceError(
-            "tail-constant extrapolation did not stabilize",
-            estimate=val, err_est=err)
-    if err > 0.05 * abs(val):
-        raise ConvergenceError(
-            "tail-constant extrapolation spread exceeds 5 percent",
-            estimate=val, err_est=err)
-    return TailConstant(mu=mu, value=val, regime=regime)
+        return TailConstant(mu=mu, value=2.0 * math.log(x), regime="log")
+    return TailConstant(mu=mu, value=math.expm1(2.0 * mu * math.log(x))
+                        / (4.0 ** mu * gamma_fn(mu)), regime="power")
 
 
 # ---------------------------------------------------------------------
 # general stopping level
 
-_RESCALE_CACHE: dict = {}
+@functools.lru_cache(maxsize=32)
+def cached_evaluator(mu: float, x: float) -> DensityEvaluator:
+    """Default-policy evaluator for (mu, x), built once per process.
+
+    Serves the calls that take no evaluator: :func:`rescale` and the
+    Poisson-kernel routes.  The least recently used entries are dropped
+    beyond 32 parameter pairs.
+    """
+    return build_evaluator(ModelParams(mu, x))
 
 
-def rescale(mu: float, a: float, x: float, t, quad=None):
+def rescale(mu: float, a: float, x: float, t):
     """Density of the functional stopped at level a from x > a.
 
-    Brownian scaling gives q_{mu,a,x}(t) = a^{-2} q_{mu,x/a}(t/a^2);
-    the normalized evaluator is cached per (mu, x/a).  The matching
-    Laplace transform is (x/a)^mu K_mu(x r)/K_mu(a r), i.e.
+    Brownian scaling gives q_{mu,a,x}(t) = a^{-2} q_{mu,x/a}(t/a^2),
+    so every (a, x) with the same ratio x/a shares one evaluator.  The
+    matching Laplace transform is (x/a)^mu K_mu(x r)/K_mu(a r), i.e.
     laplace_ratio(mu, x/a, a*r).
     """
     if not (a > 0.0) or not (x > a) or not np.isfinite(a + x):
         raise DomainError("rescaling requires 0 < a < x")
-    key = (float(mu), float(x) / float(a))
-    ev = _RESCALE_CACHE.get(key)
-    if ev is None:
-        ev = build_evaluator(ModelParams(mu, x / a), quad=quad)
-        _RESCALE_CACHE[key] = ev
+    ev = cached_evaluator(float(mu), float(x) / float(a))
     vals = q_density(ev, np.asarray(t, dtype=float) / a ** 2)
     return vals / a ** 2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -33,8 +33,7 @@ from scipy import special as sp
 from .bessel import gamma_fn
 from .density import (
     DensityEvaluator,
-    _accelerated_limit,
-    build_evaluator,
+    cached_evaluator,
     q_density,
     survival,
     tail_constant,
@@ -94,18 +93,6 @@ def cauchy_kernel(n: int, lam: float, rho) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-_EVALUATORS: dict = {}
-
-
-def _evaluator(model: ModelParams) -> DensityEvaluator:
-    key = (model.mu, model.x)
-    ev = _EVALUATORS.get(key)
-    if ev is None:
-        ev = build_evaluator(model)
-        _EVALUATORS[key] = ev
-    return ev
-
-
 # ---------------------------------------------------------------------
 # subordination route
 
@@ -119,7 +106,7 @@ def kernel_subordination(p: PoissonParams,
     route is compared against.
     """
     if ev is None:
-        ev = _evaluator(p.model)
+        ev = cached_evaluator(p.model.mu, p.model.x)
     a = 0.5 * (p.n - 1.0)
     mu = p.model.mu
     lam = p.model.lam
@@ -163,25 +150,13 @@ def _q_tail_power_integral(ev: DensityEvaluator, a: float,
     integrate constant/(t^{1+a} log^2 t) by parts, keeping two
     correction orders.
     """
-    tc = _cached_tail_constant(ev)
+    tc = tail_constant(ev)
     if tc.regime == "power":
         mu = ev.params.mu
         return tc.value * big_t ** (-mu - a) / (mu + a)
     lt = math.log(big_t)
     return (tc.value * big_t ** (-a) / (a * lt * lt)
             * (1.0 + 2.0 / (a * lt) + 6.0 / (a * lt) ** 2))
-
-
-_TAIL_CACHE: dict = {}
-
-
-def _cached_tail_constant(ev: DensityEvaluator):
-    key = (ev.params.mu, ev.params.x)
-    tc = _TAIL_CACHE.get(key)
-    if tc is None:
-        tc = tail_constant(ev)
-        _TAIL_CACHE[key] = tc
-    return tc
 
 
 def _subordination_grid(ev: DensityEvaluator, n: int,
@@ -271,18 +246,16 @@ def kernel_closed(p: PoissonParams) -> float:
             "route there")
     if abs(mu - 0.5) <= 1e-12:
         return cauchy_kernel(n, lam, rho)
-    ev = _evaluator(model)
+    ev = cached_evaluator(mu, x)
     m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
     sub = mu > 0.5
     shortfall = _pow_shortfall_linear if sub else _pow_shortfall
 
-    from .density import _w_eval_far
-
     def integrand(v):
         v = np.asarray(v, dtype=float)
         z = v * (2.0 * lam + v) / c0
-        return _w_eval_far(ev, v) * shortfall(z, m)
+        return ev.w.eval(v) * shortfall(z, m)
 
     # structure sits at the w scales (v ~ 1 + lam) and at the bracket
     # saturation scale v ~ sqrt(c0); past v_hi the bracket is -1 (or
@@ -325,6 +298,34 @@ class PoissonTail:
     regime: str
 
 
+def _accelerated_limit(g: np.ndarray) -> Tuple[float, float]:
+    """Limit of a sequence sampled on a geometric grid, two sweeps.
+
+    Each sweep estimates the geometric decay factor of consecutive
+    differences (robustly, from the last few ratios) and applies one
+    Richardson elimination with it.
+    """
+    seq = np.asarray(g, dtype=float)
+    for _ in range(2):
+        if seq.size < 4:
+            break
+        d = np.diff(seq)
+        scale = float(np.max(np.abs(seq)))
+        if np.max(np.abs(d[-3:])) <= 1e-11 * scale:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhos = d[:-1] / d[1:]
+        rhos = rhos[np.isfinite(rhos)][-3:]
+        if rhos.size == 0:
+            break
+        rho = float(np.median(rhos))
+        if not (rho > 1.05):
+            break
+        seq = seq[1:] + d / (rho - 1.0)
+    err = abs(float(seq[-1]) - float(seq[-2])) if seq.size >= 2 else np.inf
+    return float(seq[-1]), err
+
+
 def kernel_tail(p: PoissonParams) -> PoissonTail:
     """Tail constant by extrapolation over a geometric radius grid.
 
@@ -351,7 +352,7 @@ def kernel_tail(p: PoissonParams) -> PoissonTail:
         regime = "log"
     else:
         g = rhos ** (n + 2.0 * mu - 1.0) * ps
-        val, err = _accelerated_limit(g, ratio=4.0)
+        val, err = _accelerated_limit(g)
         regime = "power"
     if not (val > 0.0) or not np.isfinite(val):
         raise ConvergenceError(
@@ -379,7 +380,7 @@ def kernel_normalization(model: ModelParams, n: int,
     """
     if n < 2:
         raise DomainError("dimension must be >= 2")
-    ev = _evaluator(model)
+    ev = cached_evaluator(model.mu, model.x)
     lam = model.lam
     a = 0.5 * (n - 1.0)
     big_r = r_head if r_head is not None else 30.0 * (1.0 + lam)

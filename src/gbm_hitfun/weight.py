@@ -12,11 +12,11 @@ an explicit prefactor plus an integral against a kernel w_lam on
   not a nonnegative integer.
 
 Everything downstream (density, tails, Poisson kernels, moment
-identities) consumes this module.  Precision-critical integrals of the
-kernel are computed here in swapped order: integrating the exponentials
-in v first reduces them to sums and h-integrals with all-positive
-terms, which is how the moment operations reach near machine accuracy
-while pointwise evaluation stays an ordinary tabulation.
+identities) consumes this module.  Pointwise values of w2 are dot
+products over a fixed composite Gauss-Legendre u-grid; integrals of the
+kernel are computed in swapped order: integrating the exponentials in v
+first reduces them to sums and h-integrals with all-positive terms,
+which is how the moment operations reach near machine accuracy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .bessel import (
@@ -59,15 +58,12 @@ class ModelParams:
 
     mu: float
     x: float
-    a: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.mu) or self.mu < 0:
             raise DomainError(f"drift must be finite and >= 0, got {self.mu}")
         if not np.isfinite(self.x) or self.x <= 1.0:
             raise DomainError(f"start point must exceed 1, got {self.x}")
-        if self.a != 1.0:
-            raise DomainError("hitting level is fixed at 1; rescale instead")
         if self.x - 1.0 < 0.05:
             warnings.warn(
                 "x within 0.05 of the hitting level: kernel evaluation "
@@ -197,6 +193,10 @@ _U_MIN = 1e-12
 _U_MAX = 45.0
 _PANEL_PTS = 16
 
+# the u-grid resolves e^{-u v} down to u ~ 1/v; past this v the theorem
+# tail model of w2 is more accurate than the grid
+_W2_EXACT_VMAX = 1e8
+
 
 def _resonance_refinement(mu: float) -> np.ndarray:
     """Extra grid edges resolving the near-cut resonance of h.
@@ -234,9 +234,9 @@ class _ContinuousKernel:
     """Fixed-grid discretization of the continuous-part integrals.
 
     Holds h on a shared composite Gauss-Legendre grid so that w2
-    values, power moments of h, and tail moments of w2 all become dot
-    products with positive terms (full relative accuracy, no
-    cancellation), evaluated in microseconds.
+    values and tail moments of w2 become dot products with positive
+    terms (full relative accuracy, no cancellation), evaluated in
+    microseconds.
     """
 
     def __init__(self, params: ModelParams):
@@ -297,38 +297,6 @@ class _ContinuousKernel:
                 f"h(u) u^{p} is not integrable at the origin for mu = 0")
         return np.log(x) * eps ** (p + 1.0) / ((p + 1.0)
                                                * (ell ** 2 + np.pi ** 2))
-
-    def h_power_moment(self, p: float) -> float:
-        """integral of h(u) u^p du over (0, infinity)."""
-        return float(self.wts @ (self.h * self.u ** p)) + self._h_small_end(p)
-
-    def w2_tail_kappa_moment(self, m: int, vcut: float, lam: float) -> float:
-        """integral of kappa^m w2(v) dv over [vcut, infinity).
-
-        kappa = v (2 lam + v).  The v-integral is done analytically
-        under the u-integral; every resulting term is positive up to
-        the overall sign of w2, so the dot product keeps full relative
-        accuracy even for very large vcut.
-        """
-        u, h, wts = self.u, self.h, self.wts
-        damp = np.exp(-u * vcut)
-        acc = np.zeros_like(u)
-        small = 0.0
-        for j in range(m + 1):
-            n = m + j
-            binom = math.comb(m, j) * (2.0 * lam) ** (m - j)
-            # int_vcut^inf v^n e^{-u v} dv
-            # = e^{-u vcut} sum_r (n!/r!) vcut^r u^{r-n-1}
-            inner = np.zeros_like(u)
-            for r in range(n + 1):
-                weight = (math.factorial(n) / math.factorial(r)
-                          * vcut ** r)
-                inner += weight * u ** (r - n - 1)
-                # the truncated origin contributes with e^{-u vcut} ~ 1
-                small += binom * weight * self._h_small_end(r - n)
-            acc += binom * inner
-        return float(self.coef * (wts @ (h * u * damp * acc))
-                     + self.coef * small)
 
     def w2_tail_power_moment(self, p: int, vcut: float) -> float:
         """integral of v^p w2(v) dv over [vcut, infinity), exactly."""
@@ -418,24 +386,19 @@ def w2_tail_constant(params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class WLambdaRep:
-    """Assembled kernel: discrete terms, tabulated continuous part, tail.
+    """Assembled kernel: discrete terms, continuous-part grid, tail model.
 
-    ``eval`` interpolates the continuous part on the graded grid up to
-    v_max (piecewise monotone cubic, abs error ~1e-6 at default grid)
-    and switches to the tail model beyond; the discrete part is always
-    evaluated exactly.  Precision-critical consumers use the moment
-    operations or the internal kernel, not ``eval``.
+    ``eval`` is exact to the working accuracy of the u-grid: the
+    discrete part is summed directly, the continuous part is the grid
+    dot product while the grid still resolves e^{-u v}, and the theorem
+    tail model of w2 takes over beyond that.
     """
 
     params: ModelParams
     discrete_terms: Tuple[Tuple[complex, complex], ...]
     has_continuous: bool
-    grid_v: Optional[np.ndarray]
-    grid_w2: Optional[np.ndarray]
     tail_constant: float
     tail_exponent: Tuple[float, int]
-    v_max: float
-    _interp: Optional[PchipInterpolator] = field(repr=False, default=None)
     _kernel: Optional[_ContinuousKernel] = field(repr=False, default=None)
 
     def w1(self, v) -> np.ndarray:
@@ -460,120 +423,40 @@ class WLambdaRep:
         arr = np.atleast_1d(np.asarray(v, dtype=float))
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise DomainError("kernel defined for finite v >= 0")
-        out = _w1_from_terms(self.discrete_terms, arr)
+        out = self.w1(arr)
         if self.has_continuous:
-            inside = arr <= self.v_max
-            if inside.any():
-                out[inside] += self._interp(arr[inside])
-            if (~inside).any():
-                out[~inside] += self._w2_tail_model(arr[~inside])
+            near = arr <= _W2_EXACT_VMAX
+            if near.any():
+                out[near] += self.w2_exact(arr[near])
+            if (~near).any():
+                out[~near] += self._w2_tail_model(arr[~near])
         return float(out[0]) if np.isscalar(v) else out
 
 
-def build_w(params: ModelParams, grid_ratio: float = 1.02) -> WLambdaRep:
+def build_w(params: ModelParams) -> WLambdaRep:
     """Construct the kernel representation for 0 <= mu <= 10.
 
     Half-integer drifts produce a purely discrete kernel (possibly
     empty: identically zero for mu = 1/2); otherwise the continuous
-    part is tabulated on a graded grid [0, v_max], v_max =
-    max(50, 50/lam), with the theorem tail model beyond.
+    part is discretized on the shared u-grid, with the theorem tail
+    model for v beyond the grid's reach.
     """
     mu = params.mu
-    zeros = k_zero_set(mu)
-    terms = _discrete_terms(params, zeros)
-    half = is_half_integer(mu)
-    v_max = max(50.0, 50.0 / params.lam)
+    terms = _discrete_terms(params, k_zero_set(mu))
     tail_exp = (2.0 * mu + 2.0, 0) if mu > 0 else (2.0, 2)
-
-    if half:
-        return WLambdaRep(
-            params=params, discrete_terms=terms, has_continuous=False,
-            grid_v=None, grid_w2=None, tail_constant=0.0,
-            tail_exponent=tail_exp, v_max=v_max)
-
-    kernel = _ContinuousKernel(params)
-    n = max(64, int(np.ceil(np.log(v_max / 1e-3) / np.log(grid_ratio))))
-    grid_v = np.concatenate([[0.0], np.geomspace(1e-3, v_max, n)])
-    grid_w2 = kernel.w2(grid_v)
-    interp = PchipInterpolator(grid_v, grid_w2, extrapolate=False)
-    return WLambdaRep(
-        params=params, discrete_terms=terms, has_continuous=True,
-        grid_v=grid_v, grid_w2=grid_w2,
-        tail_constant=w2_tail_constant(params),
-        tail_exponent=tail_exp, v_max=v_max,
-        _interp=interp, _kernel=kernel)
+    if is_half_integer(mu):
+        return WLambdaRep(params=params, discrete_terms=terms,
+                          has_continuous=False, tail_constant=0.0,
+                          tail_exponent=tail_exp)
+    return WLambdaRep(params=params, discrete_terms=terms,
+                      has_continuous=True,
+                      tail_constant=w2_tail_constant(params),
+                      tail_exponent=tail_exp,
+                      _kernel=_ContinuousKernel(params))
 
 
 # ---------------------------------------------------------------------
 # moments
-
-def _w1_kappa_moment(terms, lam: float, m: int, vcut: float = 0.0) -> float:
-    """integral of kappa^m w1(v) dv over [vcut, infinity), exactly.
-
-    kappa^m = sum_j C(m,j)(2 lam)^{m-j} v^{m+j} and each
-    int_vcut^inf v^n e^{z v} dv = e^{z vcut} sum_r (n!/r!)
-    vcut^r (-z)^{r-n-1}.
-    """
-    acc = 0.0 + 0.0j
-    for a, z in terms:
-        for j in range(m + 1):
-            n = m + j
-            binom = math.comb(m, j) * (2.0 * lam) ** (m - j)
-            inner = sum(
-                math.factorial(n) / math.factorial(r)
-                * vcut ** r * (-z) ** (r - n - 1)
-                for r in range(n + 1))
-            acc += a * binom * np.exp(z * vcut) * inner
-    return float(acc.real)
-
-
-def w_moment(rep: WLambdaRep, m: int) -> float:
-    """Moment integral of the kernel against kappa^m, kappa = v(2lam+v).
-
-    m = 0 gives the plain integral of w (equals
-    x^{mu-1/2}(mu^2 - 1/4)/(2x) for every mu >= 0); m = 1 equals
-    2 x^{mu-1/2} for mu > 1/2; moments with 2 <= m < mu + 1/2 vanish.
-    Integrability requires m <= mu + 1/2 for m >= 1.
-    """
-    if m < 0 or m != int(m):
-        raise DomainError("moment order must be a nonnegative integer")
-    m = int(m)
-    mu, lam = rep.params.mu, rep.params.lam
-    if m >= 1 and mu + 0.5 < m:
-        raise DomainError(
-            f"kappa^{m} w is not integrable for mu = {mu} (needs "
-            f"mu + 1/2 >= {m})")
-    val = _w1_kappa_moment(rep.discrete_terms, lam, m)
-    if rep.has_continuous:
-        kern = rep._kernel
-        for j in range(m + 1):
-            binom = math.comb(m, j) * (2.0 * lam) ** (m - j)
-            val += (kern.coef * binom * math.factorial(m + j)
-                    * kern.h_power_moment(-m - j))
-    return val
-
-
-def w_kappa_moment_tail(rep: WLambdaRep, m: int, vcut: float) -> float:
-    """integral of kappa^m w(v) dv over [vcut, infinity).
-
-    Same integrand as ``w_moment`` but starting at vcut; used by the
-    density and Poisson modules to complete truncated v-integrals
-    without losing relative accuracy (all terms carry one sign).
-    """
-    if vcut < 0:
-        raise DomainError("vcut must be >= 0")
-    if m < 0 or m != int(m):
-        raise DomainError("moment order must be a nonnegative integer")
-    m = int(m)
-    mu, lam = rep.params.mu, rep.params.lam
-    if m >= 1 and mu + 0.5 < m:
-        raise DomainError(
-            f"kappa^{m} w is not integrable for mu = {mu}")
-    val = _w1_kappa_moment(rep.discrete_terms, lam, m, vcut=vcut)
-    if rep.has_continuous:
-        val += rep._kernel.w2_tail_kappa_moment(m, vcut, lam)
-    return val
-
 
 def _w1_power_moment(terms, p: int, vcut: float) -> float:
     """integral of v^p w1(v) dv over [vcut, infinity), exactly."""
@@ -585,6 +468,44 @@ def _w1_power_moment(terms, p: int, vcut: float) -> float:
             for r in range(p + 1))
         acc += a * np.exp(z * vcut) * inner
     return float(acc.real)
+
+
+def w_moment(rep: WLambdaRep, m: int) -> float:
+    """Moment integral of the kernel against kappa^m, kappa = v(2lam+v).
+
+    m = 0 gives the plain integral of w (equals
+    x^{mu-1/2}(mu^2 - 1/4)/(2x) for every mu >= 0); m = 1 equals
+    2 x^{mu-1/2} for mu > 1/2; moments with 2 <= m < mu + 1/2 vanish.
+    Integrability requires m <= mu + 1/2 for m >= 1.
+    """
+    return w_kappa_moment_tail(rep, m, 0.0)
+
+
+def w_kappa_moment_tail(rep: WLambdaRep, m: int, vcut: float) -> float:
+    """integral of kappa^m w(v) dv over [vcut, infinity).
+
+    Expands kappa^m = sum_j C(m,j) (2 lam)^{m-j} v^{m+j} into exact
+    power-moment tails; used by the density and Poisson modules to
+    complete truncated v-integrals without losing relative accuracy
+    (all terms carry one sign).
+    """
+    if vcut < 0:
+        raise DomainError("vcut must be >= 0")
+    if m < 0 or m != int(m):
+        raise DomainError("moment order must be a nonnegative integer")
+    m = int(m)
+    mu, lam = rep.params.mu, rep.params.lam
+    if m >= 1 and mu + 0.5 < m:
+        raise DomainError(
+            f"kappa^{m} w is not integrable for mu = {mu} (needs "
+            f"mu + 1/2 >= {m})")
+    val = 0.0
+    for j in range(m + 1):
+        part = _w1_power_moment(rep.discrete_terms, m + j, vcut)
+        if rep.has_continuous:
+            part += rep._kernel.w2_tail_power_moment(m + j, vcut)
+        val += math.comb(m, j) * (2.0 * lam) ** (m - j) * part
+    return val
 
 
 def w_power_moment_tail(rep: WLambdaRep, p: int, vcut: float) -> float:

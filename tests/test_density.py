@@ -33,6 +33,7 @@ from gbm_hitfun.density import (
     _q_substituted,
     _subtracted_exp,
     build_evaluator,
+    cached_evaluator,
     dufresne_density,
     laplace_of_density,
     laplace_ratio,
@@ -433,26 +434,50 @@ def test_tail_constant_three_halves_closed():
     assert tc.value == pytest.approx(7.0 / (4.0 * SQRT_PI), rel=1e-12)
 
 
+def _geometric_limit(g):
+    """Limit of g sampled on a geometric grid: two Richardson sweeps,
+    each eliminating the decay ratio of the last consecutive differences."""
+    for _ in range(2):
+        d = np.diff(g)
+        if np.max(np.abs(d[-3:])) <= 1e-11 * np.max(np.abs(g)):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = d[-4:-1] / d[-3:]
+        rho = float(np.median(ratios[np.isfinite(ratios)]))
+        g = g[1:] + d / (rho - 1.0)
+    return float(g[-1])
+
+
 @pytest.mark.parametrize("mu,x,rel", [
     (0.3, 2.0, 1e-4),
     (1.0, 2.0, 1e-6),
     (2.2, 2.0, 1e-6),
 ])
 def test_tail_constant_extrapolated_matches_limit(mu, x, rel):
-    # frozen high-precision limits: the tail constant equals
-    # (x^{2 mu} - 1)/(4^mu Gamma(mu)), verified independently by an
-    # mpmath Mellin study and by domination against the unstopped law
+    # the density's own large-t law, t^{mu+1} q(t) extrapolated on a
+    # ratio-4 grid, reaches the closed (x^{2 mu} - 1)/(4^mu Gamma(mu))
     want = (x ** (2.0 * mu) - 1.0) / (4.0 ** mu * sp.gamma(mu))
-    tc = tail_constant(ev_for(mu, x))
+    ev = ev_for(mu, x)
+    tc = tail_constant(ev)
     assert tc.regime == "power"
-    assert tc.value == pytest.approx(want, rel=rel)
+    assert tc.value == pytest.approx(want, rel=1e-14)
+    ts = max(1e4, 10.0 * ev.t_switch) * 4.0 ** np.arange(12)
+    limit = _geometric_limit(ts ** (mu + 1.0) * q_density(ev, ts))
+    assert limit == pytest.approx(want, rel=rel)
 
 
 def test_tail_constant_driftless():
     for x in (2.0, 5.0):
-        tc = tail_constant(ev_for(0.0, x))
+        ev = ev_for(0.0, x)
+        tc = tail_constant(ev)
         assert tc.regime == "log"
-        assert tc.value == pytest.approx(2.0 * math.log(x), rel=5e-3)
+        assert tc.value == 2.0 * math.log(x)
+        # log^2 t * t * q(t) has corrections in powers of 1/log t: a
+        # quadratic fit in that variable, read off at 0
+        ts = max(1e4, 10.0 * ev.t_switch) * 4.0 ** np.arange(4, 12)
+        g = np.log(ts) ** 2 * ts * q_density(ev, ts)
+        limit = np.polyfit(1.0 / np.log(ts), g, 2)[-1]
+        assert limit == pytest.approx(tc.value, rel=5e-3)
 
 
 def test_tail_constant_is_frozen_record():
@@ -510,6 +535,19 @@ def test_rescale_scaling_identity():
     direct = rescale(1.3, 2.0, 4.0, ts)
     normalized = q_density(ev_for(1.3, 2.0), ts / 4.0) / 4.0
     assert np.allclose(direct, normalized, rtol=1e-13)
+
+
+def test_rescale_shares_evaluator_across_equal_ratios():
+    # stop at 0.7 from 1.9 and at 1.4 from 3.8: one evaluator, and the
+    # scaling identity holds exactly
+    ts = np.geomspace(0.1, 10.0, 5)
+    before = cached_evaluator.cache_info()
+    small = rescale(1.1, 0.7, 1.9, ts)
+    large = rescale(1.1, 1.4, 3.8, 4.0 * ts)
+    after = cached_evaluator.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
+    assert np.array_equal(large, small / 4.0)
 
 
 def test_rescale_preserves_mass():
