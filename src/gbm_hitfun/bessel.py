@@ -1,16 +1,27 @@
-"""Modified Bessel functions, the gamma function, and zeros of K_mu.
+"""The gamma function, the reversed Bessel polynomials, and zeros of K_mu.
 
-Real-argument I_nu, K_nu and the gamma function delegate to scipy's
-AMOS/Cephes routines, which already meet the accuracy contract; this
-module adds the domain checking, the principal-branch complex K_nu, the
+Real and complex K_nu, I_nu and the gamma function come straight from
+scipy's AMOS/Cephes routines; this module adds the domain checking, the
 reversed Bessel polynomials of half-integer orders, and the zero set of
-K_mu in the left half-plane.
+K_mu in the cut plane C minus (-inf, 0].
 
-The zero count follows the classical rule: K_mu has k_mu = mu - 1/2
-zeros (in the cut plane) when mu - 1/2 is a nonnegative integer, and
-otherwise k_mu is the even integer closest to mu - 1/2; in particular
-no zeros at all for 0 <= mu < 3/2.  Zeros sit at moderate modulus with
-strictly negative real part and never coincide with zeros of K_{mu-1}.
+The zero count follows the classical rule (DLMF 10.42): K_mu has no
+zeros for |arg z| <= pi/2, and in pi/2 < |arg z| < pi it has k_mu zeros,
+where k_mu = mu - 1/2 when that is a nonnegative integer and otherwise
+the even integer closest to mu - 1/2; in particular no zeros at all for
+0 <= mu < 3/2.  The zeros are simple, never coincide with zeros of
+K_{mu-1}, and come in conjugate pairs plus, for odd k_mu, one real zero
+on the cut.
+
+Zeros are found by continuation in the order.  At a half-integer order
+m + 1/2 they are the roots of z^m theta_m(1/z), a polynomial of degree
+m.  For any other mu the count m = k_mu is even and stays m on the
+whole order interval (m - 1/2, m + 3/2): zeros depend continuously on
+the order and can only enter or leave the cut plane through the cut,
+which happens only at the odd half-integers that end the interval.
+That interval contains both mu and the seed order m + 1/2, so the m/2
+upper-half-plane roots at m + 1/2 are followed to mu by Newton's
+method in a short sequence of orders.
 """
 
 from __future__ import annotations
@@ -24,18 +35,17 @@ from scipy import special as sp
 
 from .errors import DomainError, ZeroCountError
 
-# psi(1) = -gamma, needed by the mu = 0 small-argument expansion
-# K_0(u) = log(2/u) I_0(u) + psi(1) + o(1).
-EULER_GAMMA = float(np.euler_gamma)
-
-# Largest order for which the zero search grid below is tuned.
+# Largest supported order: the discrete-weight amplitudes A_i built on
+# these zeros are verified against independent references only up to
+# mu = 10.
 ORDER_CAP = 10.0
 
-# Complex K_nu is only certified on a bounded disk: the zero finder and
-# the discrete-weight amplitudes K_mu(x z_i) are the only complex
-# consumers, and x |z_i| stays well inside this radius for x <= 5,
-# mu <= ORDER_CAP.
-MAX_COMPLEX_ABS = 200.0
+# Newton stops once every step is this small relative to its zero
+_NEWTON_RTOL = 1e-15
+_NEWTON_MAX_STEPS = 30
+
+# continued zeros closer than this have collapsed onto one path
+_MIN_SEPARATION = 1e-8
 
 
 def _check_order(nu: float) -> float:
@@ -43,50 +53,6 @@ def _check_order(nu: float) -> float:
     if not np.isfinite(nu) or nu < 0:
         raise DomainError(f"order must be finite and >= 0, got {nu}")
     return nu
-
-
-def bessel_i(nu: float, u: float) -> float:
-    """Modified Bessel function I_nu(u) for real u > 0.
-
-    Raises OverflowError when the true value exceeds double range
-    (I_nu grows like e^u/sqrt(2 pi u)); raises DomainError for u <= 0.
-    """
-    nu = _check_order(nu)
-    u = float(u)
-    if not (u > 0) or not np.isfinite(u):
-        raise DomainError(f"argument must be positive and finite, got {u}")
-    val = float(sp.iv(nu, u))
-    if np.isinf(val):
-        raise OverflowError(f"I_{nu}({u}) exceeds double precision range")
-    return val
-
-
-def bessel_k(nu: float, u: float) -> float:
-    """Modified Bessel function K_nu(u) for real u > 0."""
-    nu = _check_order(nu)
-    u = float(u)
-    if not (u > 0) or not np.isfinite(u):
-        raise DomainError(f"argument must be positive and finite, got {u}")
-    return float(sp.kv(nu, u))
-
-
-def bessel_k_complex(nu: float, z: complex) -> complex:
-    """Principal-branch K_nu(z) on the cut plane C minus (-inf, 0].
-
-    Certified for |z| <= MAX_COMPLEX_ABS; agrees with bessel_k on the
-    positive real axis.
-    """
-    nu = _check_order(nu)
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise DomainError("argument must be finite")
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError(f"z = {z} lies on the branch cut (-inf, 0]")
-    if abs(z) > MAX_COMPLEX_ABS:
-        raise DomainError(
-            f"|z| = {abs(z):.3g} exceeds the supported radius "
-            f"{MAX_COMPLEX_ABS:g}")
-    return complex(sp.kv(nu, z))
 
 
 def gamma_fn(s: float) -> float:
@@ -134,11 +100,6 @@ def reversed_bessel_theta(m: int) -> np.ndarray:
     ])
 
 
-def theta_eval(m: int, w) -> np.ndarray:
-    """Evaluate theta_m at w (real or complex, scalar or array)."""
-    return np.polyval(reversed_bessel_theta(m)[::-1], w)
-
-
 @dataclass(frozen=True)
 class KZeroSet:
     """Zeros of K_mu in the left half-plane, conjugation-closed.
@@ -166,81 +127,100 @@ def _pair_and_sort(upper: np.ndarray, real_zeros: np.ndarray) -> Tuple[complex, 
     return tuple(zs)
 
 
-def _newton_polish(mu: float, z: np.ndarray, steps: int = 4) -> np.ndarray:
-    # K_nu' = -(K_{nu-1} + K_{nu+1})/2; K_{-nu} = K_nu
-    for _ in range(steps):
-        f = sp.kv(mu, z)
-        fp = -0.5 * (sp.kv(abs(mu - 1.0), z) + sp.kv(mu + 1.0, z))
-        z = z - f / fp
-    return z
+def _newton_polish(nu: float, z: np.ndarray) -> np.ndarray:
+    """Newton's method on K_nu from each start in z, per zero until
+    |step| <= _NEWTON_RTOL |z|; ZeroCountError if that takes longer
+    than _NEWTON_MAX_STEPS steps."""
+    z = np.array(z, dtype=complex)
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        za = z[active]
+        # K_nu' = -(K_{nu-1} + K_{nu+1})/2; K_{-nu} = K_nu
+        step = sp.kv(nu, za) / (
+            -0.5 * (sp.kv(abs(nu - 1.0), za) + sp.kv(nu + 1.0, za)))
+        z[active] = za - step
+        active[active] = np.abs(step) > _NEWTON_RTOL * np.abs(za)
+        if not active.any():
+            return z
+    raise ZeroCountError(
+        f"Newton iteration for zeros of K_{nu} did not settle in "
+        f"{_NEWTON_MAX_STEPS} steps", estimate=tuple(z))
 
 
-def _half_integer_zeros(mu: float) -> Tuple[complex, ...]:
-    m = int(round(mu - 0.5))
+def _half_integer_zeros(m: int) -> Tuple[complex, ...]:
+    """Zeros of K_{m+1/2}."""
     if m == 0:
         return ()
     # z^m theta_m(1/z) is a degree-m polynomial in z with the same
     # nonzero roots as K_{m+1/2}
     coeff = reversed_bessel_theta(m)
     roots = np.roots(coeff)
-    roots = _newton_polish(mu, roots.astype(complex))
+    roots = _newton_polish(m + 0.5, roots.astype(complex))
     upper = roots[roots.imag > 1e-9]
     real_zeros = roots[np.abs(roots.imag) <= 1e-9]
     return _pair_and_sort(upper, real_zeros)
 
 
-def _search_zeros(mu: float) -> Tuple[complex, ...]:
-    radius = 3.0 * mu + 4.0
-    re = np.arange(-radius, -0.05 + 1e-12, 0.4)
-    im = np.arange(0.05, radius + 1e-12, 0.4)
-    z = (re[:, None] + 1j * im[None, :]).ravel()
+def _continued_zeros(mu: float, m: int) -> Tuple[complex, ...]:
+    """Zeros of K_mu, m = k_mu even, continued from the order m + 1/2.
 
-    for _ in range(60):
-        f = sp.kv(mu, z)
-        fp = -0.5 * (sp.kv(abs(mu - 1.0), z) + sp.kv(mu + 1.0, z))
-        step = f / fp
-        mag = np.abs(step)
-        step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 0.5)), step)
-        z = z - step
-        ok = (np.isfinite(z) & (z.real < -1e-3)
-              & (np.abs(z) < 2.0 * radius) & (np.abs(z) > 1e-3))
-        z = z[ok]
-        if z.size == 0:
-            break
-
-    if z.size:
-        f = sp.kv(mu, z)
-        fp = -0.5 * (sp.kv(abs(mu - 1.0), z) + sp.kv(mu + 1.0, z))
-        z = z[np.abs(f / fp) < 1e-9 * (1.0 + np.abs(z))]
-    # keep one representative per zero from the upper half-plane
-    z = z[z.imag > 1e-3]
-    z = z[np.argsort(z.real + 1e-6 * z.imag)]
-    picked = []
-    for zi in z:
-        if all(abs(zi - p) > 1e-6 for p in picked):
-            picked.append(zi)
-    return _pair_and_sort(_newton_polish(mu, np.array(picked))
-                          if picked else np.array([]), np.array([]))
+    The path runs through orders lo + d^(k/n), k = 1..n, with
+    lo = m - 1/2 and d = mu - lo in (0, 2): equal steps in log(nu - lo).
+    Approaching lo from above, one conjugate pair meets the cut at
+    distance about 0.87 (nu - lo) from it, so each step at most halves
+    nu - lo; elsewhere n also keeps steps in nu near 1/4 or shorter.
+    Each Newton solve starts from the linear extrapolation of the last
+    two points of the path, which is exact where the pair nears the cut
+    (there z moves linearly in nu - lo).
+    """
+    lo = m - 0.5
+    d = mu - lo
+    n = max(math.ceil(4.0 * abs(d - 1.0)), math.ceil(-math.log2(d)))
+    ratio = d ** (1.0 / n)    # each step in nu is this times the last
+    orders = lo + d ** (np.arange(1, n + 1) / n)
+    orders[-1] = mu
+    seeds = _half_integer_zeros(m)
+    z = prev = np.array([s for s in seeds if s.imag > 0])
+    for nu in orders:
+        z, prev = _newton_polish(nu, z + ratio * (z - prev)), z
+        if np.any(z.real >= 0.0) or np.any(z.imag <= 0.0):
+            raise ZeroCountError(
+                f"a zero of K_{nu} left the quadrant Re z < 0, Im z > 0 "
+                f"during continuation", estimate=tuple(z))
+        gaps = np.abs(z[:, None] - z[None, :])[np.triu_indices(z.size, 1)]
+        if np.any(gaps < _MIN_SEPARATION):
+            raise ZeroCountError(
+                f"two continued zeros of K_{nu} landed within "
+                f"{_MIN_SEPARATION:g} of each other", estimate=tuple(z))
+    return _pair_and_sort(z, np.array([]))
 
 
 def k_zero_set(mu: float) -> KZeroSet:
     """All zeros of K_mu in the cut plane, for 0 <= mu <= ORDER_CAP.
 
-    Half-integer orders come from the reversed Bessel polynomial, other
-    orders from Newton iteration seeded over a left-half-plane grid; in
-    both cases the count is validated against the classical rule and a
-    mismatch raises ZeroCountError.
+    At a half-integer order m + 1/2 (within is_half_integer's
+    tolerance) the zeros are the roots of the reversed Bessel
+    polynomial z^m theta_m(1/z), polished by Newton's method on
+    K_{m+1/2}.  At any other order the count m is even and
+    constant on (m - 1/2, m + 3/2) (DLMF 10.42), an interval holding
+    both mu and m + 1/2; the m/2 upper-half-plane roots at m + 1/2 are
+    continued to mu in the order by Newton's method, and the conjugates
+    are added exactly.  The count is checked against the classical
+    rule; a mismatch, a Newton iteration that does not settle, a path
+    that leaves the upper-left quadrant, or two paths that meet raise
+    ZeroCountError with the zeros found so far attached.
     """
     mu = _check_order(mu)
     if mu > ORDER_CAP:
         raise DomainError(
             f"order {mu} exceeds the supported cap {ORDER_CAP:g}; the "
-            "zero-search grid is not tuned beyond it")
+            "kernel amplitudes built on the zeros are not verified "
+            "beyond it")
     expected = k_zero_count(mu)
     if expected == 0:
         return KZeroSet(order=mu, zeros=(), count=0)
-    zeros = (_half_integer_zeros(mu) if is_half_integer(mu)
-             else _search_zeros(mu))
+    zeros = (_half_integer_zeros(expected) if is_half_integer(mu)
+             else _continued_zeros(mu, expected))
     if len(zeros) != expected:
         raise ZeroCountError(
             f"found {len(zeros)} zeros of K_{mu}, expected {expected}",

@@ -108,33 +108,7 @@ def build_evaluator(params: ModelParams,
 
 
 # ---------------------------------------------------------------------
-# kernel-weighted exponentials
-
-def _exp_weighted_integral(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
-    """S(t) = int_0^infty e^{-kappa/4t} w(v) dv for an array of t > 0.
-
-    Completing the square in v turns each exponential mode of w1 into
-    a Faddeeva value and the continuous part into a dot product of
-    erfcx over the kernel grid; both stay bounded, so S is evaluated
-    without overflow at any t.
-    """
-    ts = np.asarray(ts, dtype=float)
-    lam = ev.params.lam
-    sq = np.sqrt(ts)
-    out = np.zeros_like(ts)
-    for a, z in ev.w.discrete_terms:
-        # int_0^inf e^{z v} e^{-kappa/4t} dv
-        #   = sqrt(pi t) e^{c^2/4t} erfc(c / 2 sqrt t),  c = lam - 2 t z,
-        # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
-        c = lam - 2.0 * ts * z
-        out += (a * sp.wofz(0.5j * c / sq)).real * (_SQRT_PI * sq)
-    kern = ev.w._kernel
-    if kern is not None:
-        amp = kern.coef * kern.wts * kern.h * kern.u
-        arg = (0.5 * lam / sq)[:, None] + kern.u[None, :] * sq[:, None]
-        out += (_SQRT_PI * sq) * (sp.erfcx(arg) @ amp)
-    return out
-
+# subtracted exponentials
 
 def _subtracted_exp(s: np.ndarray, l: int) -> np.ndarray:
     """e^{-s} minus its Taylor polynomial through degree l, stably.
@@ -191,7 +165,7 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     xi = x ** (mu - 0.5)
     m0 = xi * (mu * mu - 0.25) / (2.0 * x)
     lead = xi / (2.0 * ts)
-    s_val = _exp_weighted_integral(ev, ts)
+    s_val = ev.w.exp_weighted_integral(ts)
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
     loss = 2.3e-16 * scale / np.maximum(np.abs(j_val), 1e-300)
@@ -278,7 +252,7 @@ def q_density_basic(ev: DensityEvaluator, t):
     mu, lam, x = p.mu, p.lam, p.x
     flat = arr.reshape(-1)
     w0 = w_moment(ev.w, 0)
-    s_val = _exp_weighted_integral(ev, flat)
+    s_val = ev.w.exp_weighted_integral(flat)
     if mu <= 0.5:
         j_val = x ** (mu - 0.5) / (2.0 * flat) - w0 + s_val
     else:

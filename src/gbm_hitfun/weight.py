@@ -12,7 +12,8 @@ an explicit prefactor plus an integral against a kernel w_lam on
   not a nonnegative integer.
 
 Everything downstream (density, tails, Poisson kernels, moment
-identities) consumes this module.  Pointwise values of w2 are dot
+identities) consumes this module.  Pointwise values of w2, and the
+erfcx-weighted integral the density's direct route needs, are dot
 products over a fixed composite Gauss-Legendre u-grid; integrals of the
 kernel are computed in swapped order: integrating the exponentials in v
 first reduces them to sums and h-integrals with all-positive terms,
@@ -45,6 +46,8 @@ from .quadrature import (
     integrate_finite,
     integrate_semi_infinite,
 )
+
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -205,8 +208,11 @@ def _resonance_refinement(mu: float) -> np.ndarray:
     the denominator of h toward zero at a single u*, leaving a
     Lorentzian peak of half-width |cos(pi mu)| K / |(pi I + sin(pi mu)
     K)'| there (arbitrarily sharp as mu approaches an odd
-    half-integer).  Graded panel edges spanning 24 half-widths pin the
-    peak to the panel degree.
+    half-integer).  Graded panel edges spanning 24
+    half-widths pin the peak to the panel degree; when the peak is
+    sharp, edges at doubling distances carry the grading on out to the
+    fixed 0.5-wide panels, which cannot follow the Lorentzian's 1/u^2
+    flanks from closer in.
     """
     s = math.sin(math.pi * mu)
     if s >= 0.0:
@@ -224,10 +230,10 @@ def _resonance_refinement(mu: float) -> np.ndarray:
     deriv = (term2(u_star + du) - term2(u_star - du)) / (2.0 * du)
     damp = sp.kve(mu, u_star) * math.exp(-2.0 * u_star)
     width = max(abs(math.cos(math.pi * mu)) * damp / abs(deriv), 1e-8)
-    offsets = np.array([-24.0, -16.0, -10.0, -6.0, -4.0, -2.5, -1.5,
-                        -0.75, 0.0, 0.75, 1.5, 2.5, 4.0, 6.0, 10.0,
-                        16.0, 24.0])
-    return u_star + width * offsets
+    offsets = np.array([0.75, 1.5, 2.5, 4.0, 6.0, 10.0, 16.0, 24.0])
+    far = 24.0 * 2.0 ** np.arange(1, 22)    # 24 * 2^21 * 1e-8 > 0.5
+    offsets = np.concatenate([offsets, far[far * width < 0.5]])
+    return u_star + width * np.concatenate([-offsets[::-1], [0.0], offsets])
 
 
 class _ContinuousKernel:
@@ -263,12 +269,13 @@ class _ContinuousKernel:
         self.u_lo = edges[0]
         self.u, self.wts = gauss_legendre_panels(edges, _PANEL_PTS)
         self.h = _h_values(mu, x, self.u)
+        # w2(v) = sum_k amp_k e^{-v u_k}
+        self.amp = self.coef * self.wts * self.h * self.u
 
     def w2(self, v) -> np.ndarray:
         """Exact-batch w2 on an array of v >= 0."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        amp = self.coef * self.wts * self.h * self.u
-        return np.exp(-v[:, None] * self.u[None, :]) @ amp
+        return np.exp(-v[:, None] * self.u[None, :]) @ self.amp
 
     def _h_small_end(self, p: float) -> float:
         """integral of h(u) u^p du over the truncated origin (0, u_lo).
@@ -416,6 +423,30 @@ class WLambdaRep:
         out = self.tail_constant / np.power(v, power)
         if logpow:
             out = out / np.log(v) ** logpow
+        return out
+
+    def exp_weighted_integral(self, ts) -> np.ndarray:
+        """S(t) = int_0^infty e^{-kappa/4t} w(v) dv for an array of t > 0.
+
+        kappa = v (2 lam + v).  Completing the square in v turns each
+        exponential mode of w1 into a Faddeeva value and the continuous
+        part into a dot product of erfcx over the kernel grid; both stay
+        bounded, so S is evaluated without overflow at any t.
+        """
+        ts = np.asarray(ts, dtype=float)
+        lam = self.params.lam
+        sq = np.sqrt(ts)
+        out = np.zeros_like(ts)
+        for a, z in self.discrete_terms:
+            # int_0^inf e^{z v} e^{-kappa/4t} dv
+            #   = sqrt(pi t) e^{c^2/4t} erfc(c / 2 sqrt t),  c = lam - 2 t z,
+            # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
+            c = lam - 2.0 * ts * z
+            out += (a * sp.wofz(0.5j * c / sq)).real * (_SQRT_PI * sq)
+        if self.has_continuous:
+            u = self._kernel.u
+            arg = (0.5 * lam / sq)[:, None] + u[None, :] * sq[:, None]
+            out += (_SQRT_PI * sq) * (sp.erfcx(arg) @ self._kernel.amp)
         return out
 
     def eval(self, v):

@@ -1,7 +1,9 @@
-"""Package layout rule: no module imports a private name of a sibling.
+"""Package layout rules: no module uses a private name of a sibling.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
+Two ways in are checked: importing a private name, and reading a
+private attribute of an object the module got from elsewhere.
 """
 
 import ast
@@ -26,6 +28,46 @@ def private_imports(source: str):
     return found
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_attribute_reads(source: str):
+    """(line, name) for each read of obj._name where the module does
+    not itself define _name; reads through self and cls are exempt.
+
+    A module defines a name by a def or class statement, an assignment
+    to it (plain, annotated, as a dataclass field, or as an attribute
+    target such as self._name = ...), an argument, or an import alias.
+    """
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)):
+            defined.add(node.attr)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name)
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and _is_private(node.attr)
+                and node.attr not in defined
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
 def test_rule_catches_private_imports():
     src = ("from .density import q_density, _w_eval\n"
            "def f():\n"
@@ -35,8 +77,30 @@ def test_rule_catches_private_imports():
                                     (3, "gbm_hitfun.weight", "_kernel")]
 
 
+def test_rule_catches_private_attribute_reads():
+    src = ("class Rep:\n"
+           "    _own: int = 0\n"
+           "    def __init__(self):\n"
+           "        self._grid = 1\n"
+           "    def f(self, other):\n"
+           "        return self._grid + other._own + other._grid\n"
+           "    @classmethod\n"
+           "    def g(cls):\n"
+           "        return cls._hidden\n"
+           "def h(ev):\n"
+           "    kern = ev.w._kernel\n"
+           "    return kern.coef + ev.__class__.__name__ + ev._own\n")
+    assert private_attribute_reads(src) == [(11, "_kernel")]
+
+
 def test_no_private_imports_between_modules():
     assert (PACKAGE_DIR / "__init__.py").is_file()
     offenders = {path.name: private_imports(path.read_text())
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_no_private_attribute_reads_between_modules():
+    offenders = {path.name: private_attribute_reads(path.read_text())
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {k: v for k, v in offenders.items() if v} == {}

@@ -324,7 +324,12 @@ def test_eval_domain_and_shapes():
 # ---------------------------------------------------------------------
 # moment identities
 
-@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.5, 2.5])
+# next to the odd half-integers 3/2 and 7/2 h has a sharp resonance;
+# just above them a pair of zeros also lies just above the cut
+NEAR_ODD_HALF = [1.4999, 1.5001, 3.4999, 3.5001]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.5, 2.5] + NEAR_ODD_HALF)
 def test_moment_zero_identity(mu):
     x = 2.0
     rep = build_w(ModelParams(mu, x))
@@ -338,7 +343,7 @@ def test_moment_zero_examples():
     assert w_moment(rep, 0) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("mu", [1.0, 1.5, 2.5])
+@pytest.mark.parametrize("mu", [1.0, 1.5, 2.5] + NEAR_ODD_HALF)
 def test_moment_one_identity(mu):
     x = 2.0
     rep = build_w(ModelParams(mu, x))
