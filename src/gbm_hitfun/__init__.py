@@ -45,7 +45,6 @@ from .density import (
     laplace_ratio,
     normalization_check,
     q_density,
-    q_density_basic,
     rescale,
     survival,
     tail_constant,
@@ -80,7 +79,6 @@ __all__ = [
     "laplace_ratio",
     "normalization_check",
     "q_density",
-    "q_density_basic",
     "rescale",
     "survival",
     "tail_constant",

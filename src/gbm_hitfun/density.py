@@ -5,19 +5,28 @@ hitting time of level 1, the functional A(tau) = int_0^tau X^2(s) ds
 has a density q(t) on (0, infinity) of the form
 
     q(t) = lam e^{-lam^2/4t} / sqrt(pi t) * J(t),
+    J(t) = [x^{mu-1/2}/(2t), mu <= 1/2] + int_0^infty w(v) E_l(kappa/4t) dv,
 
-where J collects an explicit 1/t term and integrals of the kernel w
-from :mod:`.weight` against subtracted exponentials of kappa/4t,
-kappa = v (2 lam + v).  This module evaluates q by two independent
-routes and cross-checks them:
+with the kernel w from :mod:`.weight`, kappa = v (2 lam + v) and E_l(s)
+the exponential e^{-s} minus its Taylor polynomial through degree l.
+This module evaluates q by two routes:
 
-* a direct route for moderate t, where the kernel integral of
-  e^{-kappa/4t} reduces to scaled complementary error functions
-  (completing the square in v), so J is a closed dot product over the
-  kernel representation;
-* a substituted route for large t (kappa = 4 s t), where the
-  subtracted exponential stays O(1) and the truncated polynomial tails
-  are completed exactly by the kernel's kappa-moment tails.
+* the direct route, for t up to t_switch: the polynomial part of E_l
+  integrates to closed kernel moments and the e^{-kappa/4t} part, after
+  completing the square in v, to a dot product of scaled complementary
+  error functions over the kernel representation.  The pieces cancel
+  as t grows, so every point carries a roundoff estimate;
+* the table route, for t beyond t_switch and for every point whose
+  estimate passes 2e-10: J integrated in v on one fixed composite
+  Gauss-Legendre grid (0.5-wide panels up to v = 32, ratio-2 panels up
+  to v = 1e8, 20 points each).  Weight times kernel value and kappa at
+  the nodes do not depend on t; each evaluator builds them on its first
+  fallback, and all fallback points of a call are then one product
+  E_l(kappa_k/4t_i) @ (W_k w(v_k)).  Beyond the grid the polynomial
+  part of E_l is completed exactly by the kernel's kappa-moment tails,
+  and a t too large for the grid (t above about 6e13) gets more ratio-2
+  panels for that call, so the route covers every t > 0.  It agrees
+  with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
 
 Also here: the Laplace transform of q in closed Bessel form and by
 numerical integration of q (the master consistency check), total mass
@@ -40,29 +49,37 @@ from .bessel import gamma_fn, is_half_integer
 from .errors import DomainError
 from .quadrature import (
     QuadratureSpec,
+    gauss_legendre_panels,
+    geometric_edges,
     integrate_finite,
     integrate_semi_infinite,
 )
 from .weight import (
+    W2_EXACT_VMAX,
     ModelParams,
     WLambdaRep,
     build_w,
     w_kappa_moment_tail,
-    w_moment,
     w_power_moment_tail,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# beyond this the e^{-s} part of the subtracted exponential is far
-# below underflow against the polynomial part, so the s-integral can
-# stop and the remaining pure-polynomial tail is completed exactly
-_S_CUT = 512.0
-
 # relative roundoff budget of the direct route before it hands the
-# point over to the substituted route (the estimate can undershoot the
+# point over to the table route (the estimate can undershoot the
 # realized error by a small factor, hence the margin under 1e-9)
 _DIRECT_LOSS_TOL = 2e-10
+
+# v-grid of the table route: 0.5-wide panels up to the knee follow w1,
+# which decays at least like e^{-1.37 v} for mu >= 3/2; ratio-2 panels
+# above follow the power tail of w2 and the turn of E_l(kappa/4t) from
+# its Taylor remainder to its polynomial part, both smooth in log v.
+# The grid ends where the exact values of w2 end.
+_TABLE_KNEE = 32.0
+_TABLE_PTS = 20
+# from here on e^{-s} is below 1e-17 of the polynomial part of E_l(s),
+# so past a v with kappa/4t >= _POLY_S the kappa-moment tails are exact
+_POLY_S = 40.0
 
 _DEFAULT_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
                                max_subdivisions=768)
@@ -76,9 +93,10 @@ class DensityEvaluator:
     exponential inside the kernel integral: floor(mu + 1/2) in general
     and mu - 1/2 when that is a nonnegative integer (the largest
     subtraction the kernel tail can absorb).  t_switch caps the direct
-    route; evaluations may fall back to the substituted route earlier
-    when the direct route's own cancellation estimate crosses
-    _DIRECT_LOSS_TOL (2e-10 relative).
+    route; points beyond it, and points below it whose direct-route
+    cancellation estimate crosses _DIRECT_LOSS_TOL (2e-10 relative),
+    take the table route.  The table route's t-independent factors are
+    built on the first such point and kept for the evaluator's life.
     """
 
     params: ModelParams
@@ -86,6 +104,13 @@ class DensityEvaluator:
     quad: QuadratureSpec
     l_terms: int
     t_switch: float
+
+    @functools.cached_property
+    def _table(self):
+        """(kappa_k, W_k w(v_k), V_top, T_j(V_top)) on the fixed v-grid."""
+        edges = np.concatenate([np.arange(0.0, _TABLE_KNEE, 0.5),
+                                geometric_edges(_TABLE_KNEE, W2_EXACT_VMAX)])
+        return _table_panels(self, edges)
 
 
 def build_evaluator(params: ModelParams,
@@ -172,46 +197,66 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     return _prefactor(lam, ts) * j_val, loss
 
 
-def _q_substituted(ev: DensityEvaluator, t: float) -> float:
-    """Density via kappa = 4 s t, for t beyond the direct route.
+def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
+    """Table-route factors on Gauss-Legendre panels over edges: kappa
+    and weight times w at the nodes, the top edge, and the kappa-moment
+    tails T_j = int_top^infty kappa^j w dv for j <= l_terms."""
+    v, wts = gauss_legendre_panels(edges, _TABLE_PTS)
+    lam = ev.params.lam
+    top = float(edges[-1])
+    tails = np.array([w_kappa_moment_tail(ev.w, j, top)
+                      for j in range(ev.l_terms + 1)])
+    return v * (2.0 * lam + v), wts * ev.w.eval(v), top, tails
 
-    The s-integrand w(v(s)) E_l(s) 2t/sqrt(4st + lam^2) is O(1)-scaled
-    in s; stopping at s = 512 leaves a purely polynomial tail that the
-    exact kernel kappa-moment tails complete, so no accuracy is lost
-    however large t is.
+
+def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
+    """Density by the table route at an array of t > 0.
+
+    J(t) is the product E_l(kappa_k/4t) @ (W_k w(v_k)) over the
+    evaluator's v-grid, plus sum_j (-1)^{j+1} T_j / (j! (4t)^j) for
+    the polynomial part of E_l beyond the grid's top.  A t with
+    kappa/4t < _POLY_S at the top gets k ratio-2 panels past it (w2
+    from the tail model WLambdaRep.eval uses there), k the fewest that
+    reach _POLY_S, and its tails move to the new top; k depends on that
+    t alone, so a value does not depend on the other points of a call.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
     l = ev.l_terms
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        root = np.sqrt(4.0 * s * t + lam * lam)
-        v = 4.0 * s * t / (root + lam)
-        return ev.w.eval(v) * _subtracted_exp(s, l) * (2.0 * t / root)
-
-    spec = replace(ev.quad,
-                   split_points=(1e-6, 1e-4, 1e-2, 0.25, 1.0, 4.0, 16.0,
-                                 64.0, 256.0))
-    res = integrate_finite(integrand, 0.0, _S_CUT, spec)
-    root_cut = math.sqrt(4.0 * _S_CUT * t + lam * lam)
-    v_cut = 4.0 * _S_CUT * t / (root_cut + lam)
-    j_val = res.value
-    for j in range(l + 1):
-        j_val += ((-1) ** (j + 1) / (math.factorial(j) * (4.0 * t) ** j)
-                  * w_kappa_moment_tail(ev.w, j, v_cut))
+    kappa, wt, top, tails = ev._table
+    v_need = np.sqrt(lam * lam + 4.0 * _POLY_S * ts) - lam
+    panels = np.maximum(0.0, np.ceil(np.log2(v_need / top)))
+    j_val = np.empty_like(ts)
+    for k in np.unique(panels):
+        rows = panels == k
+        kap, wk, tk = kappa, wt, tails
+        if k:
+            k_ext, w_ext, _, tk = _table_panels(
+                ev, top * 2.0 ** np.arange(k + 1.0))
+            kap = np.concatenate([kappa, k_ext])
+            wk = np.concatenate([wt, w_ext])
+        tr = ts[rows]
+        jr = _subtracted_exp(kap[None, :] / (4.0 * tr[:, None]), l) @ wk
+        for j in range(l + 1):
+            jr += ((-1) ** (j + 1) / (math.factorial(j) * (4.0 * tr) ** j)
+                   * tk[j])
+        j_val[rows] = jr
     if mu <= 0.5:
-        j_val += x ** (mu - 0.5) / (2.0 * t)
-    return _prefactor(lam, np.asarray(t))[()] * j_val
+        j_val += x ** (mu - 0.5) / (2.0 * ts)
+    return _prefactor(lam, ts) * j_val
 
 
 def q_density(ev: DensityEvaluator, t):
     """Density of the stopped functional at time(s) t > 0.
 
-    Scalar in, scalar out; any array shape otherwise.  Nonnegative up
-    to roundoff, integrates to one, and its Laplace transform matches
-    :func:`laplace_ratio` (the package's acceptance checks pin all
-    three down numerically).
+    Scalar in, scalar out; any array shape otherwise.  Points up to
+    ev.t_switch take the direct route; the rest, and direct points
+    whose roundoff estimate passes 2e-10, are evaluated together as one
+    product on the table route, whose v-grid the evaluator builds on
+    its first such point; together they cover every t > 0, and the
+    table route agrees with adaptive quadrature of J to 1e-10 relative
+    for mu < 9.5.  Nonnegative up to roundoff, integrates to one, and
+    its Laplace transform matches :func:`laplace_ratio`.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
@@ -221,44 +266,11 @@ def q_density(ev: DensityEvaluator, t):
     direct = flat <= ev.t_switch
     if direct.any():
         vals, loss = _q_direct_with_loss(ev, flat[direct])
-        bad = np.nonzero(loss > _DIRECT_LOSS_TOL)[0]
-        if bad.size:
-            # recompute the flagged points on the substituted route
-            src = np.nonzero(direct)[0]
-            for k in bad:
-                vals[k] = _q_substituted(ev, float(flat[src[k]]))
         out[direct] = vals
-    for i in np.nonzero(~direct)[0]:
-        out[i] = _q_substituted(ev, float(flat[i]))
+        direct[direct] = loss <= _DIRECT_LOSS_TOL
+    if not direct.all():
+        out[~direct] = _q_table(ev, flat[~direct])
     out = out.reshape(arr.shape)
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def q_density_basic(ev: DensityEvaluator, t):
-    """Density via the representation with numerically integrated moments.
-
-    Uses the plain form for mu <= 1/2 and the once-subtracted form for
-    mu > 1/2, with the kernel moments int w dv and int kappa w dv
-    computed numerically instead of through the closed identities.
-    Pointwise agreement with :func:`q_density` therefore validates the
-    moment identities inside the full pipeline.  Direct route only, so
-    accuracy degrades for t well beyond t_switch; meant for
-    cross-checks at moderate t.
-    """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError("density defined for finite t > 0")
-    p = ev.params
-    mu, lam, x = p.mu, p.lam, p.x
-    flat = arr.reshape(-1)
-    w0 = w_moment(ev.w, 0)
-    s_val = ev.w.exp_weighted_integral(flat)
-    if mu <= 0.5:
-        j_val = x ** (mu - 0.5) / (2.0 * flat) - w0 + s_val
-    else:
-        w1m = w_moment(ev.w, 1)
-        j_val = w1m / (4.0 * flat) - w0 + s_val
-    out = (_prefactor(lam, flat) * j_val).reshape(arr.shape)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

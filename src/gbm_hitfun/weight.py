@@ -38,13 +38,11 @@ from .bessel import (
     k_zero_set,
     reversed_bessel_theta,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import (
-    QuadratureSpec,
     gauss_legendre_panels,
     geometric_edges,
     integrate_finite,
-    integrate_semi_infinite,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -198,7 +196,7 @@ _PANEL_PTS = 16
 
 # the u-grid resolves e^{-u v} down to u ~ 1/v; past this v the theorem
 # tail model of w2 is more accurate than the grid
-_W2_EXACT_VMAX = 1e8
+W2_EXACT_VMAX = 1e8
 
 
 def _resonance_refinement(mu: float) -> np.ndarray:
@@ -269,6 +267,11 @@ class _ContinuousKernel:
         self.u_lo = edges[0]
         self.u, self.wts = gauss_legendre_panels(edges, _PANEL_PTS)
         self.h = _h_values(mu, x, self.u)
+        if mu > 0.0:
+            # h(u) ~ small_u_scale u^{2 mu} as u -> 0
+            self.small_u_scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu)
+                                  * (1.0 - x ** (-2.0 * mu))
+                                  / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
         # w2(v) = sum_k amp_k e^{-v u_k}
         self.amp = self.coef * self.wts * self.h * self.u
 
@@ -277,94 +280,73 @@ class _ContinuousKernel:
         v = np.atleast_1d(np.asarray(v, dtype=float))
         return np.exp(-v[:, None] * self.u[None, :]) @ self.amp
 
-    def _h_small_end(self, p: float) -> float:
-        """integral of h(u) u^p du over the truncated origin (0, u_lo).
+    def _h_small_end(self, p: int, vcut: float) -> np.ndarray:
+        """integrals of h(u) u^{r-p} e^{-u vcut} du over the truncated
+        origin (0, u_lo), for r = 0, ..., p.
 
         Uses the exact small-u law of h; the relative error of the law
         at u_lo is O(u_lo^{min(1, 2mu)}) for mu > 0 and O(1/log u_lo)
         for mu = 0, so the correction itself is accurate far beyond
-        what the completed moments need.
+        what the completed moments need.  For mu > 0 the law integrates
+        to scale vcut^{-a} gamma(a, u_lo vcut), a = 2 mu + r - p + 1,
+        taken while z = u_lo vcut < 1 through its series
+        u_lo^a / a e^{-z} sum_n z^n / ((a + 1) ... (a + n)), which is
+        exactly u_lo^a / a at vcut = 0.  For mu = 0 the damping is left
+        out: u_lo is 1e-60 there, far below 1/vcut for every cut the
+        callers use.
         """
         mu, x, eps = self.mu, self.x, self.u_lo
         if mu > 0.0:
-            if 2.0 * mu + p + 1.0 <= 0.0:
+            if 2.0 * mu - p + 1.0 <= 0.0:
                 raise DomainError(
-                    f"h(u) u^{p} is not integrable at the origin for "
+                    f"h(u) u^{-p} is not integrable at the origin for "
                     f"mu = {mu}")
-            scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu)
-                     * (1.0 - x ** (-2.0 * mu))
-                     / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
-            return scale * eps ** (2.0 * mu + p + 1.0) / (2.0 * mu + p + 1.0)
+            z = eps * vcut
+            out = []
+            for r in range(p + 1):
+                a = 2.0 * mu + (r - p) + 1.0
+                if z < 1.0:
+                    term = series = 1.0
+                    n = 1
+                    while term > 1e-17 * series:
+                        term *= z / (a + n)
+                        series += term
+                        n += 1
+                    out.append(self.small_u_scale * eps ** a / a
+                               * (math.exp(-z) * series))
+                else:
+                    out.append(self.small_u_scale * vcut ** -a
+                               * math.gamma(a) * sp.gammainc(a, z))
+            return np.array(out)
         # mu = 0: h ~ log(x) / (L^2 + pi^2), L = log(2/u) - gamma
-        ell = np.log(2.0 / eps) - np.euler_gamma
-        if p == -1.0:
-            return (np.log(x) / np.pi) * (np.pi / 2.0 - np.arctan(ell / np.pi))
-        if p < -1.0:
+        if p > 1:
             raise DomainError(
-                f"h(u) u^{p} is not integrable at the origin for mu = 0")
-        return np.log(x) * eps ** (p + 1.0) / ((p + 1.0)
-                                               * (ell ** 2 + np.pi ** 2))
+                f"h(u) u^{-p} is not integrable at the origin for mu = 0")
+        ell = math.log(2.0 / eps) - np.euler_gamma
+        power_end = math.log(x) * eps / (ell ** 2 + math.pi ** 2)
+        if p == 0:
+            return np.array([power_end])
+        log_end = (math.log(x) / math.pi) * (math.pi / 2.0
+                                             - math.atan(ell / math.pi))
+        return np.array([log_end, power_end])
 
     def w2_tail_power_moment(self, p: int, vcut: float) -> float:
-        """integral of v^p w2(v) dv over [vcut, infinity), exactly."""
+        """integral of v^p w2(v) dv over [vcut, infinity), exactly.
+
+        Integrating e^{-u v} v^p over [vcut, infinity) first leaves
+        e^{-u vcut} sum_r p!/r! vcut^r u^{r-p-1} under the u-integral,
+        an all-positive sum.
+        """
         u, h, wts = self.u, self.h, self.wts
-        damp = np.exp(-u * vcut)
-        inner = np.zeros_like(u)
-        small = 0.0
-        for r in range(p + 1):
-            weight = math.factorial(p) / math.factorial(r) * vcut ** r
-            inner += weight * u ** (r - p - 1)
-            small += weight * self._h_small_end(r - p)
-        return float(self.coef * (wts @ (h * u * damp * inner))
+        weights = np.array([math.factorial(p) / math.factorial(r) * vcut ** r
+                            for r in range(p + 1)])
+        poly = weights[p]
+        for r in range(p - 1, -1, -1):
+            poly = poly * u + weights[r]
+        inner = poly * u ** (-p - 1) * np.exp(-u * vcut)
+        small = weights @ self._h_small_end(p, vcut)
+        return float(self.coef * (wts @ (h * u * inner))
                      + self.coef * small)
-
-
-def w2_eval(v: float, params: ModelParams,
-            spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Continuous kernel part w2(v) by adaptive semi-infinite quadrature.
-
-    -cos(pi mu) (x^mu / lam) * integral of h(u) e^{-v u} u du.  Only
-    defined when mu - 1/2 is not a nonnegative integer (otherwise the
-    continuous part is absent and the representation is purely
-    discrete).  For mu = 0 the (0, 1] piece is integrated after the
-    substitution u = e^{-s}, which turns the (log u)^{-2} origin
-    behaviour into a smooth exponentially decaying integrand.
-    """
-    mu, x, lam = params.mu, params.x, params.lam
-    if is_half_integer(mu):
-        raise DomainError(
-            f"mu = {mu}: the continuous part is absent (half-integer order)")
-    v = float(v)
-    if not (v >= 0) or not np.isfinite(v):
-        raise DomainError("w2 is defined for finite v >= 0")
-    coef = -np.cos(np.pi * mu) * x ** mu / lam
-
-    def integrand(u):
-        return _h_values(mu, x, u) * u * np.exp(-v * u)
-
-    rate = 0.8 * (2.0 + v)
-    if mu == 0.0:
-        # u = e^{-s} on (0, 1]: du u -> e^{-2s} ds, s over [0, inf)
-        def sub(s):
-            es = np.exp(-s)
-            return (_h_values(mu, x, es) * np.exp(-v * es)
-                    * np.exp(-2.0 * s))
-
-        r1 = integrate_semi_infinite(sub, 0.0, 1.5, spec)
-        r2 = integrate_semi_infinite(integrand, 1.0, rate, spec)
-        value, err, conv = (r1.value + r2.value, r1.err_est + r2.err_est,
-                            r1.converged and r2.converged)
-    else:
-        inner = QuadratureSpec(spec.abs_tol, spec.rel_tol,
-                               spec.max_subdivisions,
-                               split_points=[1e-8, 1e-4, 1e-2])
-        res = integrate_semi_infinite(integrand, 0.0, rate, inner)
-        value, err, conv = res.value, res.err_est, res.converged
-    if not conv:
-        raise ConvergenceError(
-            f"w2({v}) quadrature did not converge (err_est {err:.2e})",
-            estimate=coef * value, err_est=abs(coef) * err)
-    return coef * value
 
 
 def w2_tail_constant(params: ModelParams) -> float:
@@ -456,7 +438,7 @@ class WLambdaRep:
             raise DomainError("kernel defined for finite v >= 0")
         out = self.w1(arr)
         if self.has_continuous:
-            near = arr <= _W2_EXACT_VMAX
+            near = arr <= W2_EXACT_VMAX
             if near.any():
                 out[near] += self.w2_exact(arr[near])
             if (~near).any():

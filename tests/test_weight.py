@@ -23,17 +23,23 @@ from scipy import special as sp
 
 from gbm_hitfun.bessel import k_zero_set
 from gbm_hitfun.errors import DomainError
-from gbm_hitfun.quadrature import QuadratureSpec, integrate_finite
+from gbm_hitfun.quadrature import (
+    QuadratureSpec,
+    gauss_legendre_panels,
+    geometric_edges,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 from gbm_hitfun.weight import (
     ModelParams,
     WLambdaRep,
     build_w,
     h_mu_lambda,
     w1_eval,
-    w2_eval,
     w2_tail_constant,
     w_kappa_moment_tail,
     w_moment,
+    w_power_moment_tail,
 )
 
 
@@ -43,6 +49,34 @@ def small_u_constant(mu: float, x: float) -> float:
     return (x ** mu * 2.0 ** (1.0 - 2.0 * mu)
             / (sp.gamma(mu) * sp.gamma(mu + 1.0))
             * (1.0 - x ** (-2.0 * mu)))
+
+
+def w2_adaptive(v: float, params: ModelParams) -> float:
+    """w2(v) = -cos(pi mu) (x^mu/lam) int h(u) e^{-v u} u du by adaptive
+    semi-infinite quadrature.  For mu = 0 the (0, 1] piece is taken
+    after u = e^{-s}, which turns the (log u)^{-2} origin behaviour into
+    a smooth exponentially decaying integrand."""
+    mu, x, lam = params.mu, params.x, params.lam
+    coef = -np.cos(np.pi * mu) * x ** mu / lam
+
+    def integrand(u):
+        return h_mu_lambda(u, params) * u * np.exp(-v * u)
+
+    rate = 0.8 * (2.0 + v)
+    if mu == 0.0:
+        # u = e^{-s} on (0, 1]: du u -> e^{-2s} ds, s over [0, inf)
+        def sub(s):
+            es = np.exp(-s)
+            return h_mu_lambda(es, params) * np.exp(-v * es - 2.0 * s)
+
+        parts = [integrate_semi_infinite(sub, 0.0, 1.5, QuadratureSpec()),
+                 integrate_semi_infinite(integrand, 1.0, rate,
+                                         QuadratureSpec())]
+    else:
+        spec = QuadratureSpec(split_points=[1e-8, 1e-4, 1e-2])
+        parts = [integrate_semi_infinite(integrand, 0.0, rate, spec)]
+    assert all(r.converged for r in parts)
+    return coef * sum(r.value for r in parts)
 
 
 def cor_five_halves(v, lam: float):
@@ -191,7 +225,7 @@ def test_w2_adaptive_matches_batch_kernel(mu):
     p = ModelParams(mu, 2.0)
     rep = build_w(p)
     for v in (0.0, 0.5, 3.0, 10.0):
-        adaptive = w2_eval(v, p)
+        adaptive = w2_adaptive(v, p)
         batch = float(rep.w2_exact(np.array([v]))[0])
         assert adaptive == pytest.approx(batch, rel=1e-9, abs=1e-14)
 
@@ -203,19 +237,6 @@ def test_w2_sign(mu):
     v = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 120)])
     vals = -np.cos(np.pi * mu) * rep.w2_exact(v)
     assert np.all(vals >= -1e-12)
-
-
-def test_w2_half_integer_excluded():
-    with pytest.raises(DomainError):
-        w2_eval(1.0, ModelParams(1.5, 2.0))
-
-
-def test_w2_domain_errors():
-    p = ModelParams(1.0, 2.0)
-    with pytest.raises(DomainError):
-        w2_eval(-1.0, p)
-    with pytest.raises(DomainError):
-        w2_eval(np.inf, p)
 
 
 # ---------------------------------------------------------------------
@@ -401,6 +422,27 @@ def test_kappa_moment_tail_vs_quadrature():
     # beyond 2000 the integrand is ~ v^{-4.4}: truncation under 1e-12
     assert w_kappa_moment_tail(rep, 1, vcut) == pytest.approx(
         res.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [0, 4, 8])
+@pytest.mark.parametrize("lo,hi,rel", [
+    (1e4, 1e8, 1e-12),
+    # past 1/u_lo = 1e12 the origin part switches from its series to
+    # the incomplete gamma; eval takes w2 from its tail model here,
+    # which is about 1e-11 off
+    (1e11, 1e13, 1e-9),
+])
+def test_power_moment_tail_difference_is_the_integral(p, lo, hi, rel):
+    # far cuts reach deep into the origin of the u-integral, where the
+    # small-u law of h stands in for the grid: its part must carry the
+    # damping e^{-u vcut} too (without it the p = 8 gap over [1e4, 1e8]
+    # misses by 8e-9)
+    rep = build_w(ModelParams(3.7, 2.0))
+    v, wts = gauss_legendre_panels(geometric_edges(lo, hi), 20)
+    want = wts @ (v ** p * rep.eval(v))
+    got = (w_power_moment_tail(rep, p, lo)
+           - w_power_moment_tail(rep, p, hi))
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
 def test_kappa_moment_tail_domain():
