@@ -4,27 +4,24 @@ Let X(t) = x exp(B(t) - 2 mu t) with E B(t)^2 = 2t and x > 1, and let
 tau be the first time X hits 1.  The package evaluates the density of
 the integral functional A(tau) = int_0^tau X(s)^2 ds, its tail
 behaviour, and the Poisson kernel of half-spaces in real hyperbolic
-space that this functional represents.  The test suite checks the
-analytic routes against closed forms at half-integer drift, scipy's
-Bessel-ratio Laplace transform and independent quadratures.
+space that this functional represents.  Each quantity has one
+evaluation route: the density by closed error-function sums for
+moderate t and a fixed v-grid table otherwise, survival and total
+mass by exact swaps of the t-integral, the tail constant in closed form,
+and the Poisson kernel (in :mod:`.poisson`) by a single v-integral for
+n >= 3 and by subordination at n = 2.  The Laplace transform of the
+density, in closed Bessel form and by quadrature of q, checks them.
 """
 
 from .errors import (
     ConvergenceError,
     DomainError,
-    EnvelopeError,
     ZeroCountError,
 )
 from .bessel import (
     KZeroSet,
     k_zero_count,
     k_zero_set,
-)
-from .quadrature import (
-    QuadResult,
-    QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
 )
 from .weight import (
     ModelParams,
@@ -43,7 +40,6 @@ from .density import (
     dufresne_density,
     laplace_of_density,
     laplace_ratio,
-    normalization_check,
     q_density,
     rescale,
     survival,
@@ -54,15 +50,10 @@ from .density import (
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "EnvelopeError",
     "ZeroCountError",
     "KZeroSet",
     "k_zero_count",
     "k_zero_set",
-    "QuadResult",
-    "QuadratureSpec",
-    "integrate_finite",
-    "integrate_semi_infinite",
     "ModelParams",
     "WLambdaRep",
     "build_w",
@@ -77,7 +68,6 @@ __all__ = [
     "dufresne_density",
     "laplace_of_density",
     "laplace_ratio",
-    "normalization_check",
     "q_density",
     "rescale",
     "survival",

@@ -28,11 +28,13 @@ This module evaluates q by two routes:
   panels for that call, so the route covers every t > 0.  It agrees
   with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
 
-Also here: the Laplace transform of q in closed Bessel form and by
-numerical integration of q (the master consistency check), total mass
-and survival function through the same exact swaps, the t -> infinity
-tail constant, the scaling relation for hitting a general level, and
-the density of the unstopped limit functional.
+Also here, each with one route: total mass from the kernel's first
+power moment and survival from the exact swap of the t-integral (one
+adaptive v-quadrature completed by kernel moment tails); the Laplace
+transform of q in closed Bessel form, and by adaptive t-quadrature of
+q as the consistency check against it; the closed t -> infinity tail
+constant, the scaling relation for hitting a general level, and the
+density of the unstopped limit functional.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -81,9 +83,6 @@ _TABLE_PTS = 20
 # so past a v with kappa/4t >= _POLY_S the kappa-moment tails are exact
 _POLY_S = 40.0
 
-_DEFAULT_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
-                               max_subdivisions=768)
-
 
 @dataclass(frozen=True)
 class DensityEvaluator:
@@ -101,7 +100,6 @@ class DensityEvaluator:
 
     params: ModelParams
     w: WLambdaRep
-    quad: QuadratureSpec
     l_terms: int
     t_switch: float
 
@@ -113,23 +111,16 @@ class DensityEvaluator:
         return _table_panels(self, edges)
 
 
-def build_evaluator(params: ModelParams,
-                    quad: Optional[QuadratureSpec] = None,
-                    t_switch: Optional[float] = None) -> DensityEvaluator:
-    """Assemble the kernel representation and evaluation policy."""
-    if quad is None:
-        quad = _DEFAULT_QUAD
+def build_evaluator(params: ModelParams) -> DensityEvaluator:
+    """Assemble the kernel representation and the route switch time."""
     mu = params.mu
     if is_half_integer(mu):
         l_terms = int(round(mu - 0.5))
     else:
         l_terms = int(math.floor(mu + 0.5))
-    if t_switch is None:
-        t_switch = 1e3 * max(1.0, params.lam ** 2)
-    if t_switch <= 0:
-        raise DomainError("t_switch must be positive")
-    return DensityEvaluator(params=params, w=build_w(params), quad=quad,
-                            l_terms=l_terms, t_switch=t_switch)
+    return DensityEvaluator(params=params, w=build_w(params),
+                            l_terms=l_terms,
+                            t_switch=1e3 * max(1.0, params.lam ** 2))
 
 
 # ---------------------------------------------------------------------
@@ -340,10 +331,10 @@ def laplace_of_density(ev: DensityEvaluator, r: float) -> float:
     splits = tuple(sorted({s for s in (lam * lam / 8.0, lam * lam / 2.0,
                                        0.5 * lam / r, 2.0 * lam / r)
                            if 0.0 < s < t_mid}))
-    spec = replace(ev.quad, abs_tol=1e-12, split_points=splits or None)
-    head = integrate_finite(integrand, 0.0, t_mid, spec)
-    tail = integrate_semi_infinite(integrand, t_mid, 0.9 * rr,
-                                   replace(ev.quad, abs_tol=1e-12))
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=768)
+    head = integrate_finite(integrand, 0.0, t_mid,
+                            replace(spec, split_points=splits or None))
+    tail = integrate_semi_infinite(integrand, t_mid, 0.9 * rr, spec)
     return head.value + tail.value
 
 
@@ -425,8 +416,12 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
 
     The t-integral under the kernel integral has a closed form, so the
     survival function needs only one v-quadrature up to ~12 sqrt(T)
-    plus exact kernel tail moments beyond; accuracy stays near machine
-    level even where the survival itself is 1e-14.
+    plus exact kernel tail moments beyond.  The closed form takes over
+    from its remainder series at kappa = 0.4 T, where it still cancels
+    down to the first surviving term s^{l+1}/(l+1)!, s = kappa/4T.  So
+    at high drift the result loses digits: relative 7e-7 at
+    (mu, x, T) = (5.3, 2, 60), and wrong in sign or by orders of
+    magnitude at (9.3, 2) for T >= 60.
     """
     if not np.isfinite(big_t) or big_t < 0.0:
         raise DomainError("survival defined for finite T >= 0")
@@ -450,7 +445,8 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
 
     splits = tuple(s for s in (min(1.0, lam), 1.0 + lam, 10.0 * (1.0 + lam),
                                0.5 * sq, sq, 3.0 * sq) if 0.0 < s < v_hi)
-    spec = replace(ev.quad, split_points=splits)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
+                          max_subdivisions=768, split_points=splits)
     quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value
 
     # beyond v_hi the Gaussian pieces are dead and erf is saturated:
@@ -465,23 +461,6 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
                                                                   v_hi)
 
     return lam / _SQRT_PI * (acc + quad_part + comp)
-
-
-def normalization_check(ev: DensityEvaluator) -> float:
-    """Total mass the long way: quadrature of q plus exact completion.
-
-    Integrates the density itself over [0, T] with T past the bulk,
-    then adds :func:`survival`.  Unlike :func:`total_mass` this
-    exercises the full pointwise density pipeline, so it is the
-    normalization test the acceptance suite runs.
-    """
-    lam = ev.params.lam
-    big_t = 100.0 * max(1.0, lam * lam)
-    splits = tuple(s for s in (0.05 * lam * lam, 0.25 * lam * lam,
-                               lam * lam, 1.0, 10.0) if 0.0 < s < big_t)
-    spec = replace(ev.quad, abs_tol=1e-13, split_points=splits)
-    res = integrate_finite(lambda ts: q_density(ev, ts), 0.0, big_t, spec)
-    return res.value + survival(ev, big_t)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,15 @@ A(tau) of the height process:
     P_1(x, y) = (4 pi)^{-(n-1)/2} int_0^infty e^{-|y|^2/4t} q(t)
                 t^{-(n-1)/2} dt.
 
-The module evaluates this kernel two independent ways: the
-subordination integral above (the source of truth, any n >= 2), and a
-closed single-integral form against the kernel w from :mod:`.weight`
-obtained by integrating out t (n >= 3; the prefactor degenerates at
-n = 2).  At mu = 1/2 the functional is one-sided 1/2-stable and the
+The module evaluates this kernel by a closed single-integral form
+against the kernel w from :mod:`.weight`, obtained by integrating out t
+(n >= 3; the prefactor degenerates at n = 2), and by the subordination
+integral above (adaptive t-quadrature of q, any n >= 2; the only route
+at n = 2).  At mu = 1/2 the functional is one-sided 1/2-stable and the
 kernel collapses to the (n-1)-dimensional Cauchy density.
 
-Also here: the rho -> infinity tail constant of the kernel and the
-total-probability check by radial integration, with the fat tail
-(power law, or log-corrected for mu = 0) completed analytically.
+Also here: the rho -> infinity tail constant of the kernel, by
+extrapolation over a geometric radius grid.
 """
 
 from __future__ import annotations
@@ -28,25 +27,20 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special as sp
 
 from .bessel import gamma_fn
-from .density import (
-    DensityEvaluator,
-    cached_evaluator,
-    q_density,
-    survival,
-    tail_constant,
-)
+from .density import DensityEvaluator, cached_evaluator, q_density
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate_finite, integrate_semi_infinite
+from .quadrature import (
+    QuadratureSpec,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 from .weight import (
     ModelParams,
     w_kappa_moment_tail,
     w_power_moment_tail,
 )
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -102,8 +96,8 @@ def kernel_subordination(p: PoissonParams,
 
     Adaptive time integral of e^{-rho^2/4t} q(t) t^{-(n-1)/2}; the
     large-t power tail is integrated on a log scale, where it decays
-    exponentially.  Valid for every n >= 2 and the reference the closed
-    route is compared against.
+    exponentially.  Valid for every n >= 2, and the only route at
+    n = 2, where the closed form degenerates.
     """
     if ev is None:
         ev = cached_evaluator(p.model.mu, p.model.x)
@@ -124,9 +118,10 @@ def kernel_subordination(p: PoissonParams,
     splits = tuple(sorted({s for s in (c0 / 40.0, c0 / 8.0, c0 / 2.0,
                                        lam * lam / 8.0, lam * lam)
                            if 0.0 < s < t_mid}))
-    spec = replace(ev.quad, abs_tol=1e-300, rel_tol=1e-11,
-                   split_points=splits or None)
-    head = integrate_finite(integrand, 0.0, t_mid, spec)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
+                          max_subdivisions=768)
+    head = integrate_finite(integrand, 0.0, t_mid,
+                            replace(spec, split_points=splits or None))
 
     def log_tail(ys):
         ys = np.asarray(ys, dtype=float)
@@ -135,57 +130,9 @@ def kernel_subordination(p: PoissonParams,
                                           + (1.0 - a) * ys)
 
     rate = 0.8 * (mu + a) if mu > 0.0 else 0.7 * a
-    tail = integrate_semi_infinite(log_tail, math.log(t_mid), rate,
-                                   replace(ev.quad, abs_tol=1e-300,
-                                           rel_tol=1e-11))
+    tail = integrate_semi_infinite(log_tail, math.log(t_mid), rate, spec)
     return ((head.value + tail.value)
             / (4.0 * math.pi) ** (0.5 * (p.n - 1.0)))
-
-
-def _q_tail_power_integral(ev: DensityEvaluator, a: float,
-                           big_t: float) -> float:
-    """int_T^infty q(t) t^{-a} dt from the tail law of q.
-
-    Power regime: constant * T^{-mu-a}/(mu+a).  Log regime (mu = 0):
-    integrate constant/(t^{1+a} log^2 t) by parts, keeping two
-    correction orders.
-    """
-    tc = tail_constant(ev)
-    if tc.regime == "power":
-        mu = ev.params.mu
-        return tc.value * big_t ** (-mu - a) / (mu + a)
-    lt = math.log(big_t)
-    return (tc.value * big_t ** (-a) / (a * lt * lt)
-            * (1.0 + 2.0 / (a * lt) + 6.0 / (a * lt) ** 2))
-
-
-def _subordination_grid(ev: DensityEvaluator, n: int,
-                        rhos: np.ndarray, rho_cap: float) -> np.ndarray:
-    """Kernel values on an array of radii from one shared t-grid.
-
-    Tabulates q once on log-spaced panels covering every radius up to
-    rho_cap, so each kernel value is a dot product; the truncated
-    large-t tail (where e^{-rho^2/4t} is already 1) is completed from
-    the tail law of q.  Serves the radial integrals, where the scalar
-    adaptive route would re-integrate q thousands of times.
-    """
-    a = 0.5 * (n - 1.0)
-    lam = ev.params.lam
-    t_lo = min(1.0, lam * lam) / 300.0
-    t_hi = max(rho_cap * rho_cap, lam * lam, 1.0) * 2e4
-    decades = math.log10(t_hi / t_lo)
-    edges = np.geomspace(t_lo, t_hi, int(12 * decades) + 2)
-    nodes, wts = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    tw = (half[:, None] * wts[None, :]).ravel()
-    qs = q_density(ev, ts)
-    base = qs * tw * ts ** (-a)
-    rhos = np.asarray(rhos, dtype=float)
-    vals = np.exp(-rhos[:, None] * rhos[:, None] / (4.0 * ts[None, :])) @ base
-    vals += _q_tail_power_integral(ev, a, t_hi)
-    return vals / (4.0 * math.pi) ** (0.5 * (n - 1.0))
 
 
 # ---------------------------------------------------------------------
@@ -266,8 +213,8 @@ def kernel_closed(p: PoissonParams) -> float:
                                        20.0 * (1.0 + lam), 0.3 * sq, sq,
                                        3.0 * sq, 10.0 * sq)
                            if 0.0 < s < v_hi}))
-    spec = replace(ev.quad, abs_tol=1e-300, rel_tol=1e-11,
-                   split_points=splits or None, max_subdivisions=1200)
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
+                          max_subdivisions=1200, split_points=splits or None)
     quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value
 
     comp = -w_power_moment_tail(ev.w, 0, v_hi)
@@ -282,7 +229,7 @@ def kernel_closed(p: PoissonParams) -> float:
 
 
 # ---------------------------------------------------------------------
-# tail constant and normalization
+# tail constant
 
 @dataclass(frozen=True)
 class PoissonTail:
@@ -363,69 +310,3 @@ def kernel_tail(p: PoissonParams) -> PoissonTail:
             "kernel tail extrapolation spread exceeds 5 percent",
             estimate=val, err_est=err)
     return PoissonTail(n=n, mu=mu, value=val, regime=regime)
-
-
-def kernel_normalization(model: ModelParams, n: int,
-                         r_head: Optional[float] = None) -> float:
-    """Total boundary mass: sphere area times the radial integral of P.
-
-    The head [0, R] integrates the kernel pipeline itself (closed for
-    n >= 3, shared-grid subordination at n = 2).  The tail beyond R is
-    completed exactly by swapping the radial integral inside the
-    subordination formula, which turns it into int q(t) Q((n-1)/2,
-    R^2/4t) dt with Q the regularized upper gamma; that integral is
-    taken adaptively up to T and finished with the exact survival
-    function plus the first-order correction of Q's approach to 1.
-    Should equal 1 to well under 1e-4.
-    """
-    if n < 2:
-        raise DomainError("dimension must be >= 2")
-    ev = cached_evaluator(model.mu, model.x)
-    lam = model.lam
-    a = 0.5 * (n - 1.0)
-    big_r = r_head if r_head is not None else 30.0 * (1.0 + lam)
-    if not (big_r > 0.0):
-        raise DomainError("head radius must be positive")
-    sphere = 2.0 * math.pi ** a / gamma_fn(a)
-
-    if n >= 3:
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            flat = r.reshape(-1)
-            ps = np.array([kernel_closed(PoissonParams(n, model, float(v)))
-                           for v in flat])
-            return (flat ** (n - 2.0) * ps).reshape(r.shape)
-    else:
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            flat = r.reshape(-1)
-            ps = _subordination_grid(ev, n, flat, big_r)
-            return ps.reshape(r.shape)
-
-    spec = replace(ev.quad, abs_tol=1e-12, rel_tol=1e-9,
-                   split_points=tuple(s for s in (0.5 * lam, 1.0 + lam,
-                                                  5.0 * (1.0 + lam),
-                                                  0.5 * big_r)
-                                      if 0.0 < s < big_r))
-    head = sphere * integrate_finite(radial, 0.0, big_r, spec).value
-
-    # exact swap of the tail: sphere * int_R^inf r^{n-2} P dr
-    #   = int_0^inf q(t) Q(a, R^2/4t) dt
-    big_t = 1e4 * big_r * big_r
-    y_lo = math.log(big_r * big_r / 180.0)
-    y_hi = math.log(big_t)
-
-    def swap_integrand(ys):
-        ys = np.asarray(ys, dtype=float)
-        ts = np.exp(ys)
-        return (q_density(ev, ts)
-                * sp.gammaincc(a, big_r * big_r / (4.0 * ts)) * ts)
-
-    sspec = replace(ev.quad, abs_tol=1e-12, rel_tol=1e-10,
-                    split_points=tuple(np.linspace(y_lo, y_hi, 9)[1:-1]))
-    tail = integrate_finite(swap_integrand, y_lo, y_hi, sspec).value
-    tail += survival(ev, big_t)
-    # Q(a, z) = 1 - z^a/Gamma(a+1) + O(z^{a+1}) for the t beyond T
-    tail -= ((big_r * big_r / 4.0) ** a / gamma_fn(a + 1.0)
-             * _q_tail_power_integral(ev, a, big_t))
-    return head + tail

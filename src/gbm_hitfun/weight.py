@@ -167,22 +167,6 @@ def _w1_from_terms(terms, v) -> np.ndarray:
     return acc.real
 
 
-def w1_eval(v, params: ModelParams, zeros: KZeroSet):
-    """Discrete kernel part w1(v) given the zero set of K_mu.
-
-    Real-valued by conjugate pairing; identically zero when the zero
-    set is empty (mu < 3/2).
-    """
-    if abs(zeros.order - params.mu) > 1e-12:
-        raise DomainError(
-            f"zero set is for order {zeros.order}, params have {params.mu}")
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("w1 is defined for v >= 0")
-    out = _w1_from_terms(_discrete_terms(params, zeros), arr)
-    return float(out) if np.isscalar(v) else out
-
-
 # ---------------------------------------------------------------------
 # continuous part
 

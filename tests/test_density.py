@@ -24,7 +24,6 @@ integrates the moments numerically (``q_density_basic``).
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from gbm_hitfun.density import (
     dufresne_density,
     laplace_of_density,
     laplace_ratio,
-    normalization_check,
     q_density,
     rescale,
     survival,
@@ -51,7 +49,7 @@ from gbm_hitfun.density import (
     total_mass,
 )
 from gbm_hitfun.errors import DomainError
-from gbm_hitfun.quadrature import integrate_finite
+from gbm_hitfun.quadrature import QuadratureSpec, integrate_finite
 from gbm_hitfun.weight import (
     ModelParams,
     w_kappa_moment_tail,
@@ -97,8 +95,9 @@ def q_substituted(ev, t: float, s_cut: float = 512.0) -> float:
     splits = tuple(c for c in (1e-6, 1e-4, 1e-2, 0.25, 1.0, 4.0, 16.0,
                                64.0, 256.0) if c < s_cut)
     res = integrate_finite(integrand, 0.0, s_cut,
-                           replace(ev.quad, rel_tol=1e-11,
-                                   split_points=splits))
+                           QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
+                                          max_subdivisions=768,
+                                          split_points=splits))
     root_cut = math.sqrt(4.0 * s_cut * t + lam * lam)
     v_cut = 4.0 * s_cut * t / (root_cut + lam)
     j_val = res.value
@@ -182,13 +181,9 @@ def test_subtraction_depth(mu, l_expected):
     assert ev_for(mu, 2.0).l_terms == l_expected
 
 
-def test_switch_time_default_and_override():
+def test_switch_time_default():
     assert ev_for(1.0, 2.0).t_switch == 1e3
     assert ev_for(1.0, 5.0).t_switch == 1e3 * 16.0
-    custom = build_evaluator(ModelParams(1.0, 2.0), t_switch=50.0)
-    assert custom.t_switch == 50.0
-    with pytest.raises(DomainError):
-        build_evaluator(ModelParams(1.0, 2.0), t_switch=0.0)
 
 
 # ---------------------------------------------------------------------
@@ -482,6 +477,23 @@ def test_total_mass_is_one(mu, x):
     assert total_mass(ev_for(mu, x)) == pytest.approx(1.0, abs=1e-10)
 
 
+def normalization_check(ev) -> float:
+    """Total mass the long way: quadrature of q plus exact completion.
+
+    Integrates the density itself over [0, T] with T past the bulk,
+    then adds :func:`survival`.  Unlike :func:`total_mass` this
+    exercises the full pointwise density pipeline.
+    """
+    lam = ev.params.lam
+    big_t = 100.0 * max(1.0, lam * lam)
+    splits = tuple(s for s in (0.05 * lam * lam, 0.25 * lam * lam,
+                               lam * lam, 1.0, 10.0) if 0.0 < s < big_t)
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=768,
+                          split_points=splits)
+    res = integrate_finite(lambda ts: q_density(ev, ts), 0.0, big_t, spec)
+    return res.value + survival(ev, big_t)
+
+
 @pytest.mark.parametrize("mu,x", [(0.3, 1.2), (1.0, 2.0), (2.5, 2.0)])
 def test_normalization_through_density(mu, x):
     assert normalization_check(ev_for(mu, x)) == pytest.approx(1.0, abs=5e-9)
@@ -506,14 +518,32 @@ def test_survival_decreasing(mu, x):
     assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("mu,x", [(0.3, 2.0), (1.0, 2.0), (2.2, 2.0)])
+# past kappa = 0.4 T survival switches from its remainder series to
+# the closed erf form, which still cancels to the first surviving term
+# s^{l+1}/(l+1)!; at high drift that loses digits
+_SURVIVAL_CANCELS = pytest.mark.xfail(
+    strict=True, reason="survival's closed form cancels at high drift")
+
+
+@pytest.mark.parametrize("mu,x", [
+    (0.3, 2.0), (1.0, 2.0), (2.2, 2.0),
+    pytest.param(7.0, 2.0, marks=_SURVIVAL_CANCELS),
+])
 def test_survival_consistent_with_density_integral(mu, x):
     ev = ev_for(mu, x)
     t_lo, t_hi = 5.0, 50.0
     res = sint.quad(lambda t: q_density(ev, t), t_lo, t_hi,
                     epsabs=1e-13, epsrel=1e-12, limit=200)
     diff = survival(ev, t_lo) - survival(ev, t_hi)
-    assert diff == pytest.approx(res[0], rel=1e-9)
+    # relative only: at mu = 7 the mass is 2e-9, under which approx's
+    # default absolute tolerance of 1e-12 would pass any error
+    assert diff == pytest.approx(res[0], rel=1e-9, abs=0.0)
+
+
+@_SURVIVAL_CANCELS
+def test_survival_positive_far_in_high_drift_tail():
+    # Talbot inversion of the Laplace transform gives 2.03e-32 here
+    assert survival(ev_for(9.3, 2.0), 600.0) > 0.0
 
 
 @pytest.mark.parametrize("mu", [0.3, 1.0, 1.5, 2.2])

@@ -1,15 +1,19 @@
-"""Package layout rules: no module uses a private name of a sibling.
+"""Package layout rules: no module uses a private name of a sibling,
+and no public function goes unused.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
 Two ways in are checked: importing a private name, and reading a
-private attribute of an object the module got from elsewhere.
+private attribute of an object the module got from elsewhere.  The
+other way round, a public function that neither a sibling module nor a
+test names is dead surface.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "gbm_hitfun"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "gbm_hitfun"
 
 
 def private_imports(source: str):
@@ -68,6 +72,36 @@ def private_attribute_reads(source: str):
     return sorted(found)
 
 
+def names_used(source: str):
+    """Every name the source reads, binds, imports or takes as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def unreferenced_public_functions(modules: dict, others: dict):
+    """(module, name) for each public top-level function of a module
+    in modules that no other source in modules or others names."""
+    used = {key: names_used(src) for key, src in {**modules,
+                                                  **others}.items()}
+    found = []
+    for key, src in modules.items():
+        for node in ast.parse(src).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in names for other, names
+                                in used.items() if other != key)):
+                found.append((key, node.name))
+    return sorted(found)
+
+
 def test_rule_catches_private_imports():
     src = ("from .density import q_density, _w_eval\n"
            "def f():\n"
@@ -91,6 +125,31 @@ def test_rule_catches_private_attribute_reads():
            "    kern = ev.w._kernel\n"
            "    return kern.coef + ev.__class__.__name__ + ev._own\n")
     assert private_attribute_reads(src) == [(11, "_kernel")]
+
+
+def test_rule_catches_unreferenced_public_functions():
+    modules = {"a.py": ("def imported(): pass\n"
+                        "def attribute(): pass\n"
+                        "def tested(): pass\n"
+                        "def lonely(): return lonely()\n"
+                        "def _private(): pass\n"
+                        "class Record: pass\n"),
+               "b.py": ("from .a import imported\n"
+                        "def helper(): return 'helper'\n")}
+    others = {"test_a.py": ("import a\n"
+                            "def test_it():\n"
+                            "    a.attribute(a.tested)\n")}
+    assert unreferenced_public_functions(modules, others) == [
+        ("a.py", "lonely"), ("b.py", "helper")]
+
+
+def test_no_unreferenced_public_functions():
+    def sources(directory):
+        return {str(p.relative_to(ROOT)): p.read_text()
+                for p in sorted(directory.glob("*.py"))}
+
+    assert unreferenced_public_functions(sources(PACKAGE_DIR),
+                                         sources(ROOT / "tests")) == []
 
 
 def test_no_private_imports_between_modules():

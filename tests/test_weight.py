@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from gbm_hitfun.bessel import k_zero_set
 from gbm_hitfun.errors import DomainError
 from gbm_hitfun.quadrature import (
     QuadratureSpec,
@@ -35,7 +34,6 @@ from gbm_hitfun.weight import (
     WLambdaRep,
     build_w,
     h_mu_lambda,
-    w1_eval,
     w2_tail_constant,
     w_kappa_moment_tail,
     w_moment,
@@ -170,28 +168,22 @@ def test_h_domain_errors():
 @pytest.mark.parametrize("x", [2.0, 3.5])
 def test_w1_three_halves_is_pure_exponential(x):
     v = np.linspace(0.0, 20.0, 81)
-    got = w1_eval(v, ModelParams(1.5, x), k_zero_set(1.5))
+    got = build_w(ModelParams(1.5, x)).w1(v)
     assert np.max(np.abs(got - np.exp(-v))) < 1e-12
 
 
 def test_w1_five_halves_closed_form():
-    p = ModelParams(2.5, 2.0)  # lam = 1
-    zeros = k_zero_set(2.5)
-    assert w1_eval(0.0, p, zeros) == pytest.approx(9.0, abs=1e-10)
+    rep = build_w(ModelParams(2.5, 2.0))  # lam = 1
+    assert rep.w1(0.0) == pytest.approx(9.0, abs=1e-10)
     v = np.linspace(0.0, 20.0, 161)
-    sup = np.max(np.abs(w1_eval(v, p, zeros) - cor_five_halves(v, 1.0)))
+    sup = np.max(np.abs(rep.w1(v) - cor_five_halves(v, 1.0)))
     assert sup < 1e-8
 
 
 @pytest.mark.parametrize("mu", [0.3, 1.0])
 def test_w1_empty_below_three_halves(mu):
     v = np.linspace(0.0, 10.0, 21)
-    assert np.all(w1_eval(v, ModelParams(mu, 2.0), k_zero_set(mu)) == 0.0)
-
-
-def test_w1_zero_set_mismatch():
-    with pytest.raises(DomainError):
-        w1_eval(1.0, ModelParams(2.5, 2.0), k_zero_set(3.5))
+    assert np.all(build_w(ModelParams(mu, 2.0)).w1(v) == 0.0)
 
 
 def test_w1_polynomial_decay():
