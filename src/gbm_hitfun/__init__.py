@@ -31,7 +31,6 @@ from .weight import (
     w_moment,
     w_kappa_moment_tail,
     w_power_moment_tail,
-    w2_tail_constant,
 )
 from .density import (
     DensityEvaluator,
@@ -61,7 +60,6 @@ __all__ = [
     "w_moment",
     "w_kappa_moment_tail",
     "w_power_moment_tail",
-    "w2_tail_constant",
     "DensityEvaluator",
     "TailConstant",
     "build_evaluator",

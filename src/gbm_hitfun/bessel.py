@@ -47,6 +47,9 @@ _NEWTON_MAX_STEPS = 30
 # continued zeros closer than this have collapsed onto one path
 _MIN_SEPARATION = 1e-8
 
+# orders this close to an m + 1/2 take the half-integer closed forms
+_HALF_TOL = 1e-12
+
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
@@ -63,10 +66,10 @@ def gamma_fn(s: float) -> float:
     return float(sp.gamma(s))
 
 
-def is_half_integer(mu: float, tol: float = 1e-12) -> bool:
-    """True when mu - 1/2 is a nonnegative integer (within tol)."""
+def is_half_integer(mu: float) -> bool:
+    """True when mu - 1/2 is a nonnegative integer (within _HALF_TOL)."""
     m = mu - 0.5
-    return m >= -tol and abs(m - round(m)) <= tol
+    return m >= -_HALF_TOL and abs(m - round(m)) <= _HALF_TOL
 
 
 def k_zero_count(mu: float) -> int:

@@ -25,8 +25,8 @@ This module evaluates q by two routes:
   E_l(kappa_k/4t_i) @ (W_k w(v_k)).  Beyond the grid the polynomial
   part of E_l is completed exactly by the kernel's kappa-moment tails,
   and a t too large for the grid (t above about 6e13) gets more ratio-2
-  panels for that call, so the route covers every t > 0.  It agrees
-  with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
+  panels for that call, so the route covers every t > 0 (up to 2e99 at
+  mu = 0).  It agrees with adaptive quadrature of J to 1e-10 for mu < 9.5.
 
 Also here, each with one route: total mass from the kernel's first
 power moment and survival from the exact swap of the t-integral (one
@@ -57,7 +57,6 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 from .weight import (
-    W2_EXACT_VMAX,
     ModelParams,
     WLambdaRep,
     build_w,
@@ -76,8 +75,9 @@ _DIRECT_LOSS_TOL = 2e-10
 # which decays at least like e^{-1.37 v} for mu >= 3/2; ratio-2 panels
 # above follow the power tail of w2 and the turn of E_l(kappa/4t) from
 # its Taylor remainder to its polynomial part, both smooth in log v.
-# The grid ends where the exact values of w2 end.
+# Its top serves t up to about 6e13 (_POLY_S); larger t extend it.
 _TABLE_KNEE = 32.0
+_TABLE_TOP = 1e8
 _TABLE_PTS = 20
 # from here on e^{-s} is below 1e-17 of the polynomial part of E_l(s),
 # so past a v with kappa/4t >= _POLY_S the kappa-moment tails are exact
@@ -107,7 +107,7 @@ class DensityEvaluator:
     def _table(self):
         """(kappa_k, W_k w(v_k), V_top, T_j(V_top)) on the fixed v-grid."""
         edges = np.concatenate([np.arange(0.0, _TABLE_KNEE, 0.5),
-                                geometric_edges(_TABLE_KNEE, W2_EXACT_VMAX)])
+                                geometric_edges(_TABLE_KNEE, _TABLE_TOP)])
         return _table_panels(self, edges)
 
 
@@ -206,10 +206,9 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     J(t) is the product E_l(kappa_k/4t) @ (W_k w(v_k)) over the
     evaluator's v-grid, plus sum_j (-1)^{j+1} T_j / (j! (4t)^j) for
     the polynomial part of E_l beyond the grid's top.  A t with
-    kappa/4t < _POLY_S at the top gets k ratio-2 panels past it (w2
-    from the tail model WLambdaRep.eval uses there), k the fewest that
-    reach _POLY_S, and its tails move to the new top; k depends on that
-    t alone, so a value does not depend on the other points of a call.
+    kappa/4t < _POLY_S at the top gets k ratio-2 panels past it, k the
+    fewest that reach _POLY_S, and its tails move to the new top; k
+    depends on that t alone, so a value does not depend on the others.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
@@ -244,10 +243,11 @@ def q_density(ev: DensityEvaluator, t):
     ev.t_switch take the direct route; the rest, and direct points
     whose roundoff estimate passes 2e-10, are evaluated together as one
     product on the table route, whose v-grid the evaluator builds on
-    its first such point; together they cover every t > 0, and the
-    table route agrees with adaptive quadrature of J to 1e-10 relative
-    for mu < 9.5.  Nonnegative up to roundoff, integrates to one, and
-    its Laplace transform matches :func:`laplace_ratio`.
+    its first such point; together they cover every t > 0 (at mu = 0
+    up to about 2e99 at x = 2, then DomainError), and the table route
+    agrees with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
+    Nonnegative up to roundoff, integrates to one, and its Laplace
+    transform matches :func:`laplace_ratio`.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):

@@ -14,10 +14,12 @@ an explicit prefactor plus an integral against a kernel w_lam on
 Everything downstream (density, tails, Poisson kernels, moment
 identities) consumes this module.  Pointwise values of w2, and the
 erfcx-weighted integral the density's direct route needs, are dot
-products over a fixed composite Gauss-Legendre u-grid; integrals of the
-kernel are computed in swapped order: integrating the exponentials in v
-first reduces them to sums and h-integrals with all-positive terms,
-which is how the moment operations reach near machine accuracy.
+products over a fixed composite Gauss-Legendre u-grid; below its first
+node the small-u law of h integrates to incomplete gamma functions, so
+w2 has one formula at every v.  Integrals of the kernel are computed in
+swapped order: integrating the exponentials in v first reduces them to
+sums and h-integrals with all-positive terms, which is how the moment
+operations reach near machine accuracy.
 """
 
 from __future__ import annotations
@@ -126,45 +128,31 @@ def _discrete_terms(params: ModelParams,
             = x^{-1/2} theta_m(1/(x z)) / theta_{m-1}(1/z).
     """
     mu, x, lam = params.mu, params.x, params.lam
-    if zeros.count == 0:
-        return ()
+    half = is_half_integer(mu)
+    m = int(round(mu - 0.5))
     terms = []
-    if is_half_integer(mu):
-        m = int(round(mu - 0.5))
-        for z in zeros.zeros:
+    # A_i on the closed upper half-plane only: the zero set is closed
+    # under conjugation bit for bit, so each lower zero takes the exact
+    # conjugate of its mirror's coefficient
+    for z in zeros.zeros:
+        if z.imag < 0.0:
+            continue
+        if half:
             ratio = (x ** -0.5 * np.polyval(
                 reversed_bessel_theta(m)[::-1], 1.0 / (x * z))
                 / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
-            terms.append((-(x ** mu / lam) * z * ratio, z))
-    else:
-        for z in zeros.zeros:
+        else:
             # zeros of non-half-integer orders are strictly complex, so
             # the principal branch is unambiguous
             ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
-            terms.append((-(x ** mu / lam) * z * ratio, z))
-    # enforce exact conjugate symmetry: average each upper-half term
-    # with the conjugate of its mirror
-    by_key = {(round(z.real, 9), round(z.imag, 9)): a for a, z in terms}
-    fixed = []
-    for a, z in terms:
-        mirror = by_key.get((round(z.real, 9), round(-z.imag, 9)))
+        a = -(x ** mu / lam) * z * ratio
         if z.imag == 0.0:
-            fixed.append((complex(a.real, 0.0), z))
-        elif mirror is not None:
-            fixed.append((0.5 * (a + mirror.conjugate()), z))
+            terms.append((complex(a.real, 0.0), z))
         else:
-            fixed.append((a, z))
-    return tuple(fixed)
-
-
-def _w1_from_terms(terms, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if not terms:
-        return np.zeros(v.shape)
-    acc = np.zeros(v.shape, dtype=complex)
-    for a, z in terms:
-        acc += a * np.exp(z * v)
-    return acc.real
+            terms += [(a, z), (a.conjugate(), z.conjugate())]
+    # keep the zero set's order, by real and then imaginary part
+    terms.sort(key=lambda t: (t[1].real, t[1].imag))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------
@@ -178,9 +166,12 @@ _U_MIN = 1e-12
 _U_MAX = 45.0
 _PANEL_PTS = 16
 
-# the u-grid resolves e^{-u v} down to u ~ 1/v; past this v the theorem
-# tail model of w2 is more accurate than the grid
-W2_EXACT_VMAX = 1e8
+# at mu = 0 the grid starts at u_lo = 1e-60 and the origin piece below
+# it is dropped; that stays below double noise while u_lo v does not
+# pass this, i.e. for v up to 1e51
+_LOG_ORIGIN_REACH = 1e-9
+# cap on the terms of the small-u law of h for mu > 0
+_ORIGIN_TERMS = 400
 
 
 def _resonance_refinement(mu: float) -> np.ndarray:
@@ -218,6 +209,29 @@ def _resonance_refinement(mu: float) -> np.ndarray:
     return u_star + width * np.concatenate([-offsets[::-1], [0.0], offsets])
 
 
+def _origin_coefs(mu: float, x: float, u_lo: float) -> np.ndarray:
+    """Coefficients c_k of h(u) = sum_k c_k u^{2 mu (k + 1)} (1 + O(u))
+    as u -> 0, for mu > 0.
+
+    K_mu through I_{-mu} - I_mu gives h = S u^{2 mu} e^{-lam u}
+    / |1 - rho e^{2 i pi mu}|^2 (1 + O(u^2)), S as in h_mu_lambda and
+    rho = g u^{2 mu} = Gamma(1 - mu) (u/2)^{2 mu} / Gamma(1 + mu); the
+    Chebyshev U_k(cos 2 pi mu) expand it, c_k = S U_k g^k, with
+    e^{-lam u} left out.  Terms run while (k + 1) rho(u_lo)^k passes
+    1e-17, at most _ORIGIN_TERMS (reached for mu below about 0.002); for
+    mu >= 1, rho is below u^2 and S stands alone.
+    """
+    scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu) * (1.0 - x ** (-2.0 * mu))
+             / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
+    if mu >= 1.0:
+        return np.array([scale])
+    g = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) / gamma_fn(1.0 + mu)
+    k = np.arange(_ORIGIN_TERMS)
+    k = k[(k + 1.0) * (g * u_lo ** (2.0 * mu)) ** k > 1e-17]
+    theta = 2.0 * math.pi * mu
+    return scale * np.sin((k + 1) * theta) / math.sin(theta) * g ** k
+
+
 class _ContinuousKernel:
     """Fixed-grid discretization of the continuous-part integrals.
 
@@ -252,60 +266,88 @@ class _ContinuousKernel:
         self.u, self.wts = gauss_legendre_panels(edges, _PANEL_PTS)
         self.h = _h_values(mu, x, self.u)
         if mu > 0.0:
-            # h(u) ~ small_u_scale u^{2 mu} as u -> 0
-            self.small_u_scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu)
-                                  * (1.0 - x ** (-2.0 * mu))
-                                  / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
+            self.origin_coefs = _origin_coefs(mu, x, self.u_lo)
+            self.origin_steps = 2.0 * mu * np.arange(self.origin_coefs.size)
+            # h >= 0, so the origin piece of w2 is largest at v = 0
+            self.w2_origin_max = abs(self.coef * self._origin(2.0 * mu + 2.0,
+                                                              0.0)[0, 0])
         # w2(v) = sum_k amp_k e^{-v u_k}
         self.amp = self.coef * self.wts * self.h * self.u
 
     def w2(self, v) -> np.ndarray:
-        """Exact-batch w2 on an array of v >= 0."""
+        """w2 on an array of v >= 0: the grid sum plus the origin piece
+        coef int_0^{u_lo} h(u) u e^{-u v} du, which carries w2 once v
+        passes 1/u_lo."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.exp(-v[:, None] * self.u[None, :]) @ self.amp
+        out = np.exp(-v[:, None] * self.u[None, :]) @ self.amp
+        if self.mu == 0.0:
+            self._check_log_reach(np.max(v, initial=0.0))
+            return out
+        # an origin piece under 2^-55 of the grid sum cannot change a bit
+        if np.all(np.abs(out) > 2.0 ** 55 * self.w2_origin_max):
+            return out
+        return out + self.coef * self._origin(2.0 * self.mu + 2.0, v)[:, 0]
+
+    def _check_log_reach(self, v: float):
+        if self.u_lo * v > _LOG_ORIGIN_REACH:
+            raise DomainError(
+                f"the mu = 0 kernel is resolved for v <= "
+                f"{_LOG_ORIGIN_REACH / self.u_lo:g}, got {v:g}")
+
+    def _origin(self, a, v) -> np.ndarray:
+        """int_0^{u_lo} h(u) u^{a - 2 mu - 1} e^{-u v} du for an array of
+        v >= 0 (rows) and of a (columns), for mu > 0: the small-u law of
+        h integrates term by term
+        to c_k v^{-b} gamma(b, u_lo v), b = a + 2 mu k, taken while
+        z = u_lo v < 1 through its all-positive series c_k u_lo^b / b
+        e^{-z} sum_n z^n / ((b + 1) ... (b + n)), exact at v = 0."""
+        eps = self.u_lo
+        v = np.reshape(v, (-1, 1, 1))
+        b = np.reshape(a, (-1, 1)) + self.origin_steps
+        z = eps * v
+        near = z < 1.0
+        all_near = near.all()
+        zn = z if all_near else np.where(near, z, 0.0)
+        # the series is >= 1, so once this bound on every term falls to
+        # 1e-17 each term is at most 1e-17 of its series
+        zmax, bmin, bound, n_terms = float(zn.max()), float(b.min()), 1.0, 0
+        while bound > 1e-17:
+            n_terms += 1
+            bound *= zmax / (bmin + n_terms)
+        term = series = 1.0
+        for n in range(1, n_terms + 1):
+            term = term * (zn / (b + n))
+            series = series + term
+        out = self.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
+        if not all_near:
+            far = ~near[:, 0, 0]
+            out[far] = (self.origin_coefs * v[far] ** -b * sp.gamma(b)
+                        * sp.gammainc(b, z[far]))
+        return out.sum(axis=2)
 
     def _h_small_end(self, p: int, vcut: float) -> np.ndarray:
         """integrals of h(u) u^{r-p} e^{-u vcut} du over the truncated
         origin (0, u_lo), for r = 0, ..., p.
 
-        Uses the exact small-u law of h; the relative error of the law
-        at u_lo is O(u_lo^{min(1, 2mu)}) for mu > 0 and O(1/log u_lo)
-        for mu = 0, so the correction itself is accurate far beyond
-        what the completed moments need.  For mu > 0 the law integrates
-        to scale vcut^{-a} gamma(a, u_lo vcut), a = 2 mu + r - p + 1,
-        taken while z = u_lo vcut < 1 through its series
-        u_lo^a / a e^{-z} sum_n z^n / ((a + 1) ... (a + n)), which is
-        exactly u_lo^a / a at vcut = 0.  For mu = 0 the damping is left
-        out: u_lo is 1e-60 there, far below 1/vcut for every cut the
-        callers use.
+        Uses the small-u law of h, exact to O(u_lo) relative, so the
+        correction itself is accurate far beyond what the completed
+        moments need.  For mu = 0 the damping e^{-u vcut} is left out,
+        which holds while u_lo vcut stays below 1e-9 (vcut up to 1e51);
+        beyond, DomainError.
         """
         mu, x, eps = self.mu, self.x, self.u_lo
         if mu > 0.0:
             if 2.0 * mu - p + 1.0 <= 0.0:
                 raise DomainError(
-                    f"h(u) u^{-p} is not integrable at the origin for "
-                    f"mu = {mu}")
-            z = eps * vcut
-            out = []
-            for r in range(p + 1):
-                a = 2.0 * mu + (r - p) + 1.0
-                if z < 1.0:
-                    term = series = 1.0
-                    n = 1
-                    while term > 1e-17 * series:
-                        term *= z / (a + n)
-                        series += term
-                        n += 1
-                    out.append(self.small_u_scale * eps ** a / a
-                               * (math.exp(-z) * series))
-                else:
-                    out.append(self.small_u_scale * vcut ** -a
-                               * math.gamma(a) * sp.gammainc(a, z))
-            return np.array(out)
+                    f"v^{p} w is not integrable for mu = {mu} (needs "
+                    f"p < 2 mu + 1)")
+            return self._origin([2.0 * mu + (r - p) + 1.0
+                                 for r in range(p + 1)], vcut)[0]
+        self._check_log_reach(vcut)
         # mu = 0: h ~ log(x) / (L^2 + pi^2), L = log(2/u) - gamma
         if p > 1:
             raise DomainError(
-                f"h(u) u^{-p} is not integrable at the origin for mu = 0")
+                f"v^{p} w is not integrable for mu = 0 (needs p <= 1)")
         ell = math.log(2.0 / eps) - np.euler_gamma
         power_end = math.log(x) * eps / (ell ** 2 + math.pi ** 2)
         if p == 0:
@@ -333,49 +375,32 @@ class _ContinuousKernel:
                      + self.coef * small)
 
 
-def w2_tail_constant(params: ModelParams) -> float:
-    """Limit constant of the continuous part's power tail.
-
-    v^{2 mu + 2} w2(v) -> -cos(pi mu) Gamma(2 mu + 2)
-    (x^{2 mu} - 1) / (2^{2 mu - 1} Gamma(mu) Gamma(mu + 1) lam) for
-    mu > 0; for mu = 0 the tail is -(log x)/lam / (v log v)^2 and the
-    constant -(log x)/lam is returned.  The constant follows from the
-    u -> 0 law of h by Watson's lemma applied to the Laplace integral
-    defining the continuous part.
-    """
-    mu, x, lam = params.mu, params.x, params.lam
-    if is_half_integer(mu):
-        return 0.0
-    if mu == 0.0:
-        return -np.log(x) / lam
-    return (-np.cos(np.pi * mu) * gamma_fn(2.0 * mu + 2.0)
-            * (x ** (2.0 * mu) - 1.0)
-            / (2.0 ** (2.0 * mu - 1.0) * gamma_fn(mu)
-               * gamma_fn(mu + 1.0) * lam))
-
-
 # ---------------------------------------------------------------------
 # assembled representation
 
 @dataclass(frozen=True)
 class WLambdaRep:
-    """Assembled kernel: discrete terms, continuous-part grid, tail model.
+    """Assembled kernel: discrete terms and the continuous-part grid.
 
-    ``eval`` is exact to the working accuracy of the u-grid: the
-    discrete part is summed directly, the continuous part is the grid
-    dot product while the grid still resolves e^{-u v}, and the theorem
-    tail model of w2 takes over beyond that.
+    ``eval`` is exact to the working accuracy of the u-grid at every
+    v >= 0: the discrete part is summed directly and the continuous
+    part is the grid dot product plus its exact origin piece.
     """
 
     params: ModelParams
     discrete_terms: Tuple[Tuple[complex, complex], ...]
-    has_continuous: bool
-    tail_constant: float
-    tail_exponent: Tuple[float, int]
     _kernel: Optional[_ContinuousKernel] = field(repr=False, default=None)
 
+    @property
+    def has_continuous(self) -> bool:
+        return self._kernel is not None
+
     def w1(self, v) -> np.ndarray:
-        return _w1_from_terms(self.discrete_terms, np.asarray(v, float))
+        v = np.asarray(v, dtype=float)
+        acc = np.zeros(v.shape, dtype=complex)
+        for a, z in self.discrete_terms:
+            acc += a * np.exp(z * v)
+        return acc.real
 
     def w2_exact(self, v) -> np.ndarray:
         """Continuous part on an array of v, at quadrature-grid accuracy."""
@@ -383,13 +408,6 @@ class WLambdaRep:
         if not self.has_continuous:
             return np.zeros(v.shape)
         return self._kernel.w2(v).reshape(v.shape)
-
-    def _w2_tail_model(self, v: np.ndarray) -> np.ndarray:
-        power, logpow = self.tail_exponent
-        out = self.tail_constant / np.power(v, power)
-        if logpow:
-            out = out / np.log(v) ** logpow
-        return out
 
     def exp_weighted_integral(self, ts) -> np.ndarray:
         """S(t) = int_0^infty e^{-kappa/4t} w(v) dv for an array of t > 0.
@@ -416,17 +434,14 @@ class WLambdaRep:
         return out
 
     def eval(self, v):
-        """Kernel value w(v) = w1(v) + w2(v) for any v >= 0."""
+        """Kernel value w(v) = w1(v) + w2(v) for any v >= 0.
+
+        At mu = 0 w2 is resolved for v up to 1e51; DomainError beyond.
+        """
         arr = np.atleast_1d(np.asarray(v, dtype=float))
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise DomainError("kernel defined for finite v >= 0")
-        out = self.w1(arr)
-        if self.has_continuous:
-            near = arr <= W2_EXACT_VMAX
-            if near.any():
-                out[near] += self.w2_exact(arr[near])
-            if (~near).any():
-                out[~near] += self._w2_tail_model(arr[~near])
+        out = self.w1(arr) + self.w2_exact(arr)
         return float(out[0]) if np.isscalar(v) else out
 
 
@@ -435,21 +450,12 @@ def build_w(params: ModelParams) -> WLambdaRep:
 
     Half-integer drifts produce a purely discrete kernel (possibly
     empty: identically zero for mu = 1/2); otherwise the continuous
-    part is discretized on the shared u-grid, with the theorem tail
-    model for v beyond the grid's reach.
+    part is discretized on the shared u-grid.
     """
-    mu = params.mu
-    terms = _discrete_terms(params, k_zero_set(mu))
-    tail_exp = (2.0 * mu + 2.0, 0) if mu > 0 else (2.0, 2)
-    if is_half_integer(mu):
-        return WLambdaRep(params=params, discrete_terms=terms,
-                          has_continuous=False, tail_constant=0.0,
-                          tail_exponent=tail_exp)
-    return WLambdaRep(params=params, discrete_terms=terms,
-                      has_continuous=True,
-                      tail_constant=w2_tail_constant(params),
-                      tail_exponent=tail_exp,
-                      _kernel=_ContinuousKernel(params))
+    kernel = None if is_half_integer(params.mu) else _ContinuousKernel(params)
+    return WLambdaRep(params=params, _kernel=kernel,
+                      discrete_terms=_discrete_terms(params,
+                                                     k_zero_set(params.mu)))
 
 
 # ---------------------------------------------------------------------
@@ -520,15 +526,6 @@ def w_power_moment_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
     if p < 0 or p != int(p):
         raise DomainError("power must be a nonnegative integer")
     p = int(p)
-    mu = rep.params.mu
-    if rep.has_continuous:
-        if mu == 0.0 and p > 1:
-            raise DomainError(
-                f"v^{p} w is not integrable for mu = 0 (needs p <= 1)")
-        if mu > 0.0 and p >= 2.0 * mu + 1.0:
-            raise DomainError(
-                f"v^{p} w is not integrable for mu = {mu} (needs "
-                f"p < 2 mu + 1)")
     val = _w1_power_moment(rep.discrete_terms, p, vcut)
     if rep.has_continuous:
         val += rep._kernel.w2_tail_power_moment(p, vcut)

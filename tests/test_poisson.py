@@ -69,14 +69,16 @@ def test_closed_route_matches_fourier_inversion(rho):
     assert got == pytest.approx(fourier_kernel_n4(1.2, 2.0, rho), rel=1e-6)
 
 
-def test_kernel_tail_matches_closed_constant():
-    mu, x, n = 1.2, 2.0, 4
+# at (0.3, 4) the last radii integrate the kernel past v = 1e8
+@pytest.mark.parametrize("mu,n,rel", [(1.2, 4, 1e-4), (0.3, 4, 4e-7)])
+def test_kernel_tail_matches_closed_constant(mu, n, rel):
+    x = 2.0
     a = 0.5 * (n - 1.0)
     want = ((x ** (2.0 * mu) - 1.0) * sp.gamma(mu + a)
             / (sp.gamma(mu) * math.pi ** a))
     tail = kernel_tail(PoissonParams(n, ModelParams(mu, x), 0.0))
     assert tail.regime == "power"
-    assert tail.value == pytest.approx(want, rel=1e-4)
+    assert tail.value == pytest.approx(want, rel=rel)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -13,9 +13,12 @@ Oracles used here:
 
 The tail limits assert the constants that follow from the small-u law
 of h (h ~ K u^{2 mu}, K = x^mu 2^{1-2mu}(1-x^{-2mu})/(Gamma(mu)
-Gamma(mu+1)); log x/(log u)^2 for mu = 0) via Watson's lemma.  The
-extrapolated checks below confirm them to well under a percent.
+Gamma(mu+1)); log x/(log u)^2 for mu = 0) via Watson's lemma, far
+past the reach of the u-grid, where w2 rests on the exact integral of
+the law below the grid.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +37,6 @@ from gbm_hitfun.weight import (
     WLambdaRep,
     build_w,
     h_mu_lambda,
-    w2_tail_constant,
     w_kappa_moment_tail,
     w_moment,
     w_power_moment_tail,
@@ -47,6 +49,24 @@ def small_u_constant(mu: float, x: float) -> float:
     return (x ** mu * 2.0 ** (1.0 - 2.0 * mu)
             / (sp.gamma(mu) * sp.gamma(mu + 1.0))
             * (1.0 - x ** (-2.0 * mu)))
+
+
+def w2_tail_constant(params: ModelParams) -> float:
+    """Limit constant of the continuous part's power tail.
+
+    v^{2 mu + 2} w2(v) -> -cos(pi mu) Gamma(2 mu + 2)
+    (x^{2 mu} - 1) / (2^{2 mu - 1} Gamma(mu) Gamma(mu + 1) lam) for
+    mu > 0; for mu = 0 the tail is -(log x)/lam / (v log v)^2 and the
+    constant -(log x)/lam is returned.  Watson's lemma applied to the
+    Laplace integral defining w2, with the u -> 0 law of h.
+    """
+    mu, x, lam = params.mu, params.x, params.lam
+    if mu == 0.0:
+        return -np.log(x) / lam
+    return (-np.cos(np.pi * mu) * sp.gamma(2.0 * mu + 2.0)
+            * (x ** (2.0 * mu) - 1.0)
+            / (2.0 ** (2.0 * mu - 1.0) * sp.gamma(mu)
+               * sp.gamma(mu + 1.0) * lam))
 
 
 def w2_adaptive(v: float, params: ModelParams) -> float:
@@ -240,29 +260,48 @@ def test_tail_constant_values():
     # mu=0: -(log x)/lam
     assert w2_tail_constant(ModelParams(0.0, 2.0)) == pytest.approx(
         -np.log(2.0))
-    # absent continuous part
-    assert w2_tail_constant(ModelParams(1.5, 2.0)) == 0.0
+    # the kernel meets it far out, with an O(1/v) deficit
+    v = 1e12
+    rep = build_w(ModelParams(1.0, 2.0))
+    assert rep.w2_exact(v) * v ** 4 == pytest.approx(9.0, rel=5e-12,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("mu,x", [(0.3, 2.0), (1.0, 2.0), (2.2, 1.5)])
 def test_w2_tail_limit(mu, x):
-    # v^{2mu+2} w2(v) -> tail constant; the deficit is O(1/v) (O(v^{-2mu})
-    # for mu < 1/2), so a two-point extrapolation at v = 1000 lands well
-    # inside 1%
+    # v^{2mu+2} w2(v) -> tail constant with a deficit O(1/v), or
+    # O(v^{-2mu}) for mu < 1/2; from v = 1e12 on the integrand sits
+    # mostly below the u-grid's first node 1e-12
     p = ModelParams(mu, x)
     rep = build_w(p)
-    f = lambda v: float(rep.w2_exact(np.array([v]))[0]) * v ** (2 * mu + 2)
-    extrap = 2.0 * f(2000.0) - f(1000.0)
-    assert extrap == pytest.approx(w2_tail_constant(p), rel=0.01)
+    v = np.array([1e10, 1e11, 1e12, 1e13, 1e14])
+    got = rep.w2_exact(v) * v ** (2 * mu + 2) / w2_tail_constant(p)
+    assert np.all(np.abs(got - 1.0) <= 10.0 * v ** -min(2.0 * mu, 1.0))
 
 
 def test_w2_tail_limit_mu_zero():
-    # (v log v)^2 w2(v) -> -(log x)/lam with O(1/log v) corrections
-    p = ModelParams(0.0, 2.0)
+    # (v log v)^2 w2(v) -> -(log x)/lam only with O(1/log v)
+    # corrections, so compare with Watson's lemma before the limit: the
+    # law h ~ log x e^{-lam u} / (L^2 + pi^2), L = log(2/u) - gamma,
+    # exact to O(u^2 log u), integrated in s = u v by mpmath
+    import mpmath as mp
+    x = 2.0
+    p = ModelParams(0.0, x)
     rep = build_w(p)
-    v = 1e4
-    val = float(rep.w2_exact(np.array([v]))[0]) * (v * np.log(v)) ** 2
-    assert val == pytest.approx(-np.log(2.0), rel=0.05)
+    for v in (1e10, 1e12, 1e14, 1e30, 1e50):
+        with mp.workdps(30):
+            def f(s):
+                ell = mp.log(2 * v / s) - mp.euler
+                return (s * mp.exp(-s * (1 + p.lam / v))
+                        / (ell ** 2 + mp.pi ** 2))
+
+            law = float(-math.log(x) / p.lam * mp.quad(f, [0, 1, 10, 100])
+                        / mp.mpf(v) ** 2)
+        assert rep.w2_exact(v) == pytest.approx(law, rel=1e-12, abs=0.0)
+    with pytest.raises(DomainError):
+        rep.eval(1e52)
+    with pytest.raises(DomainError):
+        w_power_moment_tail(rep, 0, 1e52)
 
 
 # ---------------------------------------------------------------------
@@ -312,16 +351,26 @@ def test_boundedness_stable_under_refinement(mu):
 
 
 def test_eval_interpolation_accuracy():
+    # one formula at every v: near the origin, through the grid's reach
+    # at v ~ 1e12 and far beyond it, where v^4 w2 meets its limit 9
     rep = build_w(ModelParams(1.0, 2.0))
-    v = np.linspace(0.0131, 40.0, 573)
+    v = np.concatenate([np.linspace(0.0131, 40.0, 573),
+                        np.geomspace(1e8, 1e20, 13)])
     assert np.array_equal(rep.eval(v), rep.w1(v) + rep.w2_exact(v))
-    # the tail model that takes over past the grid's reach agrees with
-    # the grid where both are valid, and is what eval returns beyond
-    vt = np.array([75.0])
-    assert rep._w2_tail_model(vt)[0] == pytest.approx(
-        float(rep.w2_exact(vt)[0]), rel=0.1)
-    far = np.array([1e9])
-    assert rep.eval(far)[0] == rep._w2_tail_model(far)[0]
+    far = np.geomspace(1e10, 1e14, 5)
+    assert np.all(np.abs(rep.eval(far) * far ** 4 / 9.0 - 1.0) <= 5.0 / far)
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.3, 3.7])
+def test_w2_skips_only_an_origin_piece_below_roundoff(mu):
+    # where the origin piece cannot move a bit of the grid sum, w2 leaves
+    # it out; the result must equal the full sum exactly
+    kern = build_w(ModelParams(mu, 2.0))._kernel
+    for hi in (1.0, 1e3, 1e6, 1e9, 1e12):
+        v = np.geomspace(1e-3, hi, 200)
+        full = (np.exp(-v[:, None] * kern.u[None, :]) @ kern.amp
+                + kern.coef * kern._origin(2.0 * mu + 2.0, v)[:, 0])
+        assert np.array_equal(kern.w2(v), full)
 
 
 def test_eval_domain_and_shapes():
@@ -420,8 +469,7 @@ def test_kappa_moment_tail_vs_quadrature():
 @pytest.mark.parametrize("lo,hi,rel", [
     (1e4, 1e8, 1e-12),
     # past 1/u_lo = 1e12 the origin part switches from its series to
-    # the incomplete gamma; eval takes w2 from its tail model here,
-    # which is about 1e-11 off
+    # the incomplete gamma (both sides agree to 6e-15 here)
     (1e11, 1e13, 1e-9),
 ])
 def test_power_moment_tail_difference_is_the_integral(p, lo, hi, rel):
