@@ -8,9 +8,10 @@ space that this functional represents.  Each quantity has one
 evaluation route: the density by closed error-function sums for
 moderate t and a fixed v-grid table otherwise, survival and total
 mass by exact swaps of the t-integral, the tail constant in closed form,
-and the Poisson kernel (in :mod:`.poisson`) by a single v-integral for
-n >= 3 and by subordination at n = 2.  The Laplace transform of the
-density, in closed Bessel form and by quadrature of q, checks them.
+and the Poisson kernel (in :mod:`.poisson`) by the same swap, which
+leaves a single v-integral for every n >= 2.  The Laplace transform of
+the density, in closed Bessel form and by the swap of its t-integral,
+checks them.
 """
 
 from .errors import (

@@ -31,17 +31,18 @@ This module evaluates q by two routes:
 Also here, each with one route: total mass from the kernel's first
 power moment and survival from the exact swap of the t-integral (one
 adaptive v-quadrature completed by kernel moment tails); the Laplace
-transform of q in closed Bessel form, and by adaptive t-quadrature of
-q as the consistency check against it; the closed t -> infinity tail
-constant, the scaling relation for hitting a general level, and the
-density of the unstopped limit functional.
+transform of q in closed Bessel form, and by the exact swap of its
+t-integral (a sum over the kernel representation) as the consistency
+check against it; the closed t -> infinity tail constant, the scaling
+relation for hitting a general level, and the density of the unstopped
+limit functional.  No t-integral of q is taken numerically.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -54,7 +55,6 @@ from .quadrature import (
     gauss_legendre_panels,
     geometric_edges,
     integrate_finite,
-    integrate_semi_infinite,
 )
 from .weight import (
     ModelParams,
@@ -104,11 +104,25 @@ class DensityEvaluator:
     t_switch: float
 
     @functools.cached_property
-    def _table(self):
-        """(kappa_k, W_k w(v_k), V_top, T_j(V_top)) on the fixed v-grid."""
+    def table(self):
+        """(kappa_k, W_k w(v_k), top, T) on the table route's fixed
+        v-grid (see the module docstring), built on first use: kappa and
+        weight times kernel at the nodes, top = 1e8 and the tails
+        T_j = int_top^infty kappa^j w dv, j <= l_terms."""
         edges = np.concatenate([np.arange(0.0, _TABLE_KNEE, 0.5),
                                 geometric_edges(_TABLE_KNEE, _TABLE_TOP)])
         return _table_panels(self, edges)
+
+    def extended_table(self, panels: int):
+        """:attr:`table` with `panels` more ratio-2 panels past its top,
+        its tails moved to the new top; not cached."""
+        if not panels:
+            return self.table
+        kappa, wt, top, _ = self.table
+        k_ext, w_ext, top, tails = _table_panels(
+            self, top * 2.0 ** np.arange(panels + 1.0))
+        return (np.concatenate([kappa, k_ext]), np.concatenate([wt, w_ext]),
+                top, tails)
 
 
 def build_evaluator(params: ModelParams) -> DensityEvaluator:
@@ -213,18 +227,13 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
     l = ev.l_terms
-    kappa, wt, top, tails = ev._table
+    top = ev.table[2]
     v_need = np.sqrt(lam * lam + 4.0 * _POLY_S * ts) - lam
     panels = np.maximum(0.0, np.ceil(np.log2(v_need / top)))
     j_val = np.empty_like(ts)
     for k in np.unique(panels):
         rows = panels == k
-        kap, wk, tk = kappa, wt, tails
-        if k:
-            k_ext, w_ext, _, tk = _table_panels(
-                ev, top * 2.0 ** np.arange(k + 1.0))
-            kap = np.concatenate([kappa, k_ext])
-            wk = np.concatenate([wt, w_ext])
+        kap, wk, _, tk = ev.extended_table(int(k))
         tr = ts[rows]
         jr = _subtracted_exp(kap[None, :] / (4.0 * tr[:, None]), l) @ wk
         for j in range(l + 1):
@@ -308,34 +317,20 @@ def laplace_ratio(mu: float, x: float, r):
 
 
 def laplace_of_density(ev: DensityEvaluator, r: float) -> float:
-    """int_0^infty e^{-r^2 t} q(t) dt by adaptive quadrature.
+    """int_0^infty e^{-r^2 t} q(t) dt by the exact order swap.
 
-    The numerical side of the master consistency check against
-    :func:`laplace_ratio`; shares nothing with the closed form past the
-    kernel itself.
+    The t-integral of each piece of the direct route's J is closed:
+    e^{-lam r} [x^{mu-1/2} - lam (M0 - w_hat(r)) / r], M0 = int w dv
+    and w_hat the kernel's Laplace transform.  The quotient is taken as
+    the Laplace transform of the kernel's tail mass, which does not
+    cancel as r -> 0.  The numerical side of the master consistency
+    check against :func:`laplace_ratio`; the two share only the kernel.
     """
     if not (r > 0.0) or not np.isfinite(r):
         raise DomainError("transform defined for r > 0")
-    rr = r * r
-    lam = ev.params.lam
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.exp(-rr * ts) * q_density(ev, ts)
-
-    # the integrand rises from (essentially) zero through a peak near
-    # t = lam/2r before decaying like e^{-r^2 t}; cover the whole rise
-    # and peak with the finite engine so the tail scan only ever sees
-    # the decaying side
-    t_mid = max(2.0, 2.0 * lam * lam, 2.0 * lam / r)
-    splits = tuple(sorted({s for s in (lam * lam / 8.0, lam * lam / 2.0,
-                                       0.5 * lam / r, 2.0 * lam / r)
-                           if 0.0 < s < t_mid}))
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=768)
-    head = integrate_finite(integrand, 0.0, t_mid,
-                            replace(spec, split_points=splits or None))
-    tail = integrate_semi_infinite(integrand, t_mid, 0.9 * rr, spec)
-    return head.value + tail.value
+    p = ev.params
+    return math.exp(-p.lam * r) * float(
+        p.x ** (p.mu - 0.5) - p.lam * ev.w.tail_laplace_transform(r))
 
 
 # ---------------------------------------------------------------------
@@ -445,6 +440,11 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
 
     splits = tuple(s for s in (min(1.0, lam), 1.0 + lam, 10.0 * (1.0 + lam),
                                0.5 * sq, sq, 3.0 * sq) if 0.0 < s < v_hi)
+    if 0.5 * sq > 10.0 * (1.0 + lam):
+        # a kernel of e^{z v} terms alone still decays exponentially
+        # past 10 (1 + lam); one panel from there to 0.5 sqrt(T) samples
+        # none of that and reports convergence, ratio-2 panels follow it
+        splits += tuple(geometric_edges(10.0 * (1.0 + lam), 0.5 * sq)[1:-1])
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-10,
                           max_subdivisions=768, split_points=splits)
     quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value

@@ -9,12 +9,14 @@ A(tau) of the height process:
     P_1(x, y) = (4 pi)^{-(n-1)/2} int_0^infty e^{-|y|^2/4t} q(t)
                 t^{-(n-1)/2} dt.
 
-The module evaluates this kernel by a closed single-integral form
-against the kernel w from :mod:`.weight`, obtained by integrating out t
-(n >= 3; the prefactor degenerates at n = 2), and by the subordination
-integral above (adaptive t-quadrature of q, any n >= 2; the only route
-at n = 2).  At mu = 1/2 the functional is one-sided 1/2-stable and the
-kernel collapses to the (n-1)-dimensional Cauchy density.
+The module evaluates this kernel by integrating out t first, which
+leaves a single integral against the kernel w from :mod:`.weight`: of a
+rational bracket for n >= 3 (adaptive v-quadrature completed by exact
+kernel moment tails), and at n = 2, where that bracket's prefactor
+degenerates, of its logarithmic limit, summed on the density
+evaluator's cached v-table.  At mu = 1/2 the functional is one-sided
+1/2-stable and the kernel collapses to the (n-1)-dimensional Cauchy
+density.
 
 Also here: the rho -> infinity tail constant of the kernel, by
 extrapolation over a geometric radius grid.
@@ -24,17 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .bessel import gamma_fn
-from .density import DensityEvaluator, cached_evaluator, q_density
+from .density import cached_evaluator, q_density
 from .errors import ConvergenceError, DomainError
 from .quadrature import (
     QuadratureSpec,
+    gauss_legendre_panels,
     integrate_finite,
-    integrate_semi_infinite,
 )
 from .weight import (
     ModelParams,
@@ -88,55 +90,7 @@ def cauchy_kernel(n: int, lam: float, rho) -> float:
 
 
 # ---------------------------------------------------------------------
-# subordination route
-
-def kernel_subordination(p: PoissonParams,
-                         ev: Optional[DensityEvaluator] = None) -> float:
-    """Poisson kernel by subordinating the Gaussian to the functional.
-
-    Adaptive time integral of e^{-rho^2/4t} q(t) t^{-(n-1)/2}; the
-    large-t power tail is integrated on a log scale, where it decays
-    exponentially.  Valid for every n >= 2, and the only route at
-    n = 2, where the closed form degenerates.
-    """
-    if ev is None:
-        ev = cached_evaluator(p.model.mu, p.model.x)
-    a = 0.5 * (p.n - 1.0)
-    mu = p.model.mu
-    lam = p.model.lam
-    rho = p.rho
-    c0 = lam * lam + rho * rho
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=float)
-        # fold t^{-a} into the exponent so the t -> 0 end underflows
-        # cleanly instead of forming 0 * inf
-        return q_density(ev, ts) * np.exp(-rho * rho / (4.0 * ts)
-                                          - a * np.log(ts))
-
-    t_mid = max(4.0, 4.0 * lam * lam, 2.0 * c0)
-    splits = tuple(sorted({s for s in (c0 / 40.0, c0 / 8.0, c0 / 2.0,
-                                       lam * lam / 8.0, lam * lam)
-                           if 0.0 < s < t_mid}))
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
-                          max_subdivisions=768)
-    head = integrate_finite(integrand, 0.0, t_mid,
-                            replace(spec, split_points=splits or None))
-
-    def log_tail(ys):
-        ys = np.asarray(ys, dtype=float)
-        ts = np.exp(ys)
-        return q_density(ev, ts) * np.exp(-rho * rho / (4.0 * ts)
-                                          + (1.0 - a) * ys)
-
-    rate = 0.8 * (mu + a) if mu > 0.0 else 0.7 * a
-    tail = integrate_semi_infinite(log_tail, math.log(t_mid), rate, spec)
-    return ((head.value + tail.value)
-            / (4.0 * math.pi) ** (0.5 * (p.n - 1.0)))
-
-
-# ---------------------------------------------------------------------
-# closed route (n >= 3)
+# closed route
 
 def _pow_shortfall(z: np.ndarray, m: float) -> np.ndarray:
     """(1+z)^{-m} - 1 for z >= 0, without cancellation at small z."""
@@ -169,8 +123,64 @@ def _pow_shortfall_linear(z: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
+def _log_shortfall(z: np.ndarray, j: int) -> np.ndarray:
+    """log(1+z) minus its Taylor polynomial through degree j, z >= 0.
+
+    Below z = 1/2, where the difference cancels down to its first term,
+    the remainder sum_{i > j} (-1)^{i+1} z^i / i is summed through
+    i = j + 58 instead (its terms fall by at least half).
+    """
+    i = np.arange(1.0, j + 59.0)
+    coefs = -(-1.0) ** i / i
+    out = np.log1p(z) - z * np.polyval(coefs[:j][::-1], z)
+    small = z < 0.5
+    out[small] = (z[small] ** (j + 1)
+                  * np.polyval(coefs[j:][::-1], z[small]))
+    return out
+
+
+def _kernel_plane(p: PoissonParams) -> float:
+    """The n = 2 kernel on the density evaluator's v-table.
+
+    Integrating out t leaves P = (lam / 2 pi) ([mu <= 1/2] 2 x^{mu-1/2}
+    / c0 - int w g_j(z) dv), g_j(z) = log(1+z) - sum_{i <= j}
+    (-1)^{i+1} z^i / i, exact for every min(1, l) <= j <= l = l_terms
+    by the kernel moment identities.  The integral is the table's dot
+    product, completed past its top by the kappa-moment tails for the
+    polynomial part and by 20-point ratio-2 panels of w log(1+z), eight
+    at a time, for the log part, until a panel adds under 1e-17 of the
+    sum.  The table is extended until z reaches 4 at its top, so the
+    two completions do not cancel.  The j whose summands have the
+    smallest l1 norm is taken: no single j holds its digits both at
+    rho = 0 and at large rho.
+    """
+    model = p.model
+    mu, lam, x = model.mu, model.lam, model.x
+    ev = cached_evaluator(mu, x)
+    c0 = lam * lam + p.rho * p.rho
+    v_need = math.sqrt(lam * lam + 4.0 * c0) - lam
+    kappa, wt, top, tails = ev.extended_table(
+        max(0, math.ceil(math.log2(v_need / ev.table[2]))))
+    terms = {j: wt * _log_shortfall(kappa / c0, j)
+             for j in range(min(1, ev.l_terms), ev.l_terms + 1)}
+    j = min(terms, key=lambda i: np.abs(terms[i]).sum())
+    scale = np.abs(terms[j]).sum()
+    integral = terms[j].sum() - sum((-1) ** (i + 1) * tails[i] / (i * c0 ** i)
+                                    for i in range(1, j + 1))
+    while True:
+        v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0), 20)
+        parts = (wts * ev.w.eval(v)
+                 * np.log1p(v * (2.0 * lam + v) / c0)).reshape(8, 20)
+        integral += parts.sum()
+        if abs(parts[-1].sum()) <= 1e-17 * scale:
+            break
+        top *= 256.0
+    lead = 2.0 * x ** (mu - 0.5) / c0 if mu <= 0.5 else 0.0
+    return lam / (2.0 * math.pi) * (lead - integral)
+
+
 def kernel_closed(p: PoissonParams) -> float:
-    """Poisson kernel as a single integral of w against rational terms.
+    """Poisson kernel as a single integral of w, for every n >= 2.
 
     Integrating out t in the subordination formula leaves, for n >= 3,
 
@@ -179,20 +189,21 @@ def kernel_closed(p: PoissonParams) -> float:
         P = C lam c0^{-m} int w(v) ((1+z)^{-m} - 1 + m z) dv       (mu > 1/2)
 
     with C = Gamma(n/2-1)/(2 pi^{n/2}), m = n/2 - 1, c0 = lam^2 +
-    rho^2 and z = v(2 lam + v)/c0.  At mu = 1/2 the exact Cauchy form
-    is returned; at n = 2 the prefactor degenerates and only the
-    subordination route exists.
+    rho^2 and z = v(2 lam + v)/c0, by adaptive v-quadrature up to a
+    cut and exact kernel moment tails beyond.  At n = 2 the prefactor
+    degenerates; the m -> 0 limit of the bracket is a log, and
+    :func:`_kernel_plane` sums it on the density evaluator's v-table
+    (within 1e-11 of a Fourier inversion at x = 2, mu <= 7, rho <= 3).
+    At mu = 1/2 the exact Cauchy form is returned.
     """
     n = p.n
     model = p.model
     mu, lam, x = model.mu, model.lam, model.x
     rho = p.rho
-    if n == 2:
-        raise DomainError(
-            "the closed form degenerates at n = 2; use the subordination "
-            "route there")
     if abs(mu - 0.5) <= 1e-12:
         return cauchy_kernel(n, lam, rho)
+    if n == 2:
+        return _kernel_plane(p)
     ev = cached_evaluator(mu, x)
     m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
@@ -276,21 +287,15 @@ def _accelerated_limit(g: np.ndarray) -> Tuple[float, float]:
 def kernel_tail(p: PoissonParams) -> PoissonTail:
     """Tail constant by extrapolation over a geometric radius grid.
 
-    Uses the closed route for n >= 3 and subordination at n = 2.  The
-    boundary distance in p is ignored; the limit is over rho ->
-    infinity.
+    Evaluates :func:`kernel_closed` at ten radii.  The boundary
+    distance in p is ignored; the limit is over rho -> infinity.
     """
     n = p.n
     model = p.model
     mu, lam = model.mu, model.lam
     rho0 = max(100.0, 30.0 * (1.0 + lam))
     rhos = rho0 * 4.0 ** np.arange(10)
-    if n >= 3:
-        ps = np.array([kernel_closed(replace(p, rho=float(r)))
-                       for r in rhos])
-    else:
-        ps = np.array([kernel_subordination(replace(p, rho=float(r)))
-                       for r in rhos])
+    ps = np.array([kernel_closed(replace(p, rho=float(r))) for r in rhos])
     if mu == 0.0:
         g = np.log(rhos) ** 2 * rhos ** (n - 1.0) * ps
         xi = 1.0 / np.log(rhos[-8:])

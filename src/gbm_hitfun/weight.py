@@ -40,7 +40,7 @@ from .bessel import (
     k_zero_set,
     reversed_bessel_theta,
 )
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import (
     gauss_legendre_panels,
     geometric_edges,
@@ -209,9 +209,10 @@ def _resonance_refinement(mu: float) -> np.ndarray:
     return u_star + width * np.concatenate([-offsets[::-1], [0.0], offsets])
 
 
-def _origin_coefs(mu: float, x: float, u_lo: float) -> np.ndarray:
+def _origin_coefs(mu: float, x: float,
+                  u_lo: float) -> Tuple[np.ndarray, float]:
     """Coefficients c_k of h(u) = sum_k c_k u^{2 mu (k + 1)} (1 + O(u))
-    as u -> 0, for mu > 0.
+    as u -> 0, for mu > 0, and a bound on the terms left out.
 
     K_mu through I_{-mu} - I_mu gives h = S u^{2 mu} e^{-lam u}
     / |1 - rho e^{2 i pi mu}|^2 (1 + O(u^2)), S as in h_mu_lambda and
@@ -219,17 +220,23 @@ def _origin_coefs(mu: float, x: float, u_lo: float) -> np.ndarray:
     Chebyshev U_k(cos 2 pi mu) expand it, c_k = S U_k g^k, with
     e^{-lam u} left out.  Terms run while (k + 1) rho(u_lo)^k passes
     1e-17, at most _ORIGIN_TERMS (reached for mu below about 0.002); for
-    mu >= 1, rho is below u^2 and S stands alone.
+    mu >= 1, rho is below u^2 and S stands alone.  Also returned:
+    B = S sum_{k >= K} (k + 1) rho(u_lo)^k; below u_lo, B u^{2 mu}
+    bounds the terms left out after the K kept, since |U_k| <= k + 1.
     """
     scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu) * (1.0 - x ** (-2.0 * mu))
              / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
     if mu >= 1.0:
-        return np.array([scale])
+        return np.array([scale]), 0.0
     g = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) / gamma_fn(1.0 + mu)
+    rho = g * u_lo ** (2.0 * mu)
     k = np.arange(_ORIGIN_TERMS)
-    k = k[(k + 1.0) * (g * u_lo ** (2.0 * mu)) ** k > 1e-17]
+    k = k[(k + 1.0) * rho ** k > 1e-17]
     theta = 2.0 * math.pi * mu
-    return scale * np.sin((k + 1) * theta) / math.sin(theta) * g ** k
+    n = k.size
+    cut = scale * rho ** n * ((n + 1.0) / (1.0 - rho)
+                              + rho / (1.0 - rho) ** 2)
+    return scale * np.sin((k + 1) * theta) / math.sin(theta) * g ** k, cut
 
 
 class _ContinuousKernel:
@@ -266,7 +273,8 @@ class _ContinuousKernel:
         self.u, self.wts = gauss_legendre_panels(edges, _PANEL_PTS)
         self.h = _h_values(mu, x, self.u)
         if mu > 0.0:
-            self.origin_coefs = _origin_coefs(mu, x, self.u_lo)
+            self.origin_coefs, self.origin_cut = _origin_coefs(mu, x,
+                                                               self.u_lo)
             self.origin_steps = 2.0 * mu * np.arange(self.origin_coefs.size)
             # h >= 0, so the origin piece of w2 is largest at v = 0
             self.w2_origin_max = abs(self.coef * self._origin(2.0 * mu + 2.0,
@@ -371,8 +379,19 @@ class _ContinuousKernel:
             poly = poly * u + weights[r]
         inner = poly * u ** (-p - 1) * np.exp(-u * vcut)
         small = weights @ self._h_small_end(p, vcut)
-        return float(self.coef * (wts @ (h * u * inner))
-                     + self.coef * small)
+        value = float(self.coef * (wts @ (h * u * inner))
+                      + self.coef * small)
+        if self.mu > 0.0:
+            # the terms the small-u law leaves out move the piece below
+            # u_lo of each u^{r-p} term by at most B u_lo^a / (a + 2 mu K)
+            a = 2.0 * self.mu + 1.0 + np.arange(p + 1.0) - p
+            cut = abs(self.coef) * self.origin_cut * (weights @ (
+                self.u_lo ** a / (a + 2.0 * self.mu * self.origin_coefs.size)))
+            if cut > 1e-11:
+                raise ConvergenceError(
+                    f"small-u law of h cut at {_ORIGIN_TERMS} terms: the "
+                    f"moment may be off by {cut:.2g}", value, cut)
+        return value
 
 
 # ---------------------------------------------------------------------
@@ -431,6 +450,32 @@ class WLambdaRep:
             u = self._kernel.u
             arg = (0.5 * lam / sq)[:, None] + u[None, :] * sq[:, None]
             out += (_SQRT_PI * sq) * (sp.erfcx(arg) @ self._kernel.amp)
+        return out
+
+    def tail_laplace_transform(self, r) -> np.ndarray:
+        """int_0^infty e^{-r v} W(v) dv for r > 0 (any shape), with
+        W(v) = int_v^infty w the kernel's tail mass.
+
+        Equals (int w dv - w_hat(r)) / r, w_hat the Laplace transform of
+        w, without that difference's cancellation as r -> 0: a mode
+        A e^{z v} of w1 gives A / (z (z - r)), w2 the grid sum
+        coef int h(u) / (u + r) du plus, for mu > 0, its piece below
+        u_lo from the small-u law of h, termwise c_k u_lo^b / (b r)
+        2F1(1, b; b + 1; -u_lo / r) with b = 2 mu (k + 1) + 1.
+        """
+        r = np.asarray(r, dtype=float)
+        out = np.zeros(r.shape)
+        for a, z in self.discrete_terms:
+            out += (a / (z * (z - r))).real
+        kern, rr = self._kernel, r[..., None]
+        if kern is None:
+            return out
+        out += (1.0 / (rr + kern.u)) @ (kern.amp / kern.u)
+        if kern.mu > 0.0:
+            b = 2.0 * kern.mu + 1.0 + kern.origin_steps
+            out += kern.coef * (kern.origin_coefs * kern.u_lo ** b / (b * rr)
+                                * sp.hyp2f1(1.0, b, b + 1.0, -kern.u_lo / rr)
+                                ).sum(axis=-1)
         return out
 
     def eval(self, v):

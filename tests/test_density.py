@@ -13,6 +13,11 @@ Oracles used here, all independent of the code under test:
   half-integer drift, and high-precision extrapolation limits frozen
   from an mpmath study for the rest.
 
+The Laplace transform of q is checked twice: by the exact order swap
+in :func:`laplace_of_density` and by adaptive quadrature of q itself
+(``laplace_by_quadrature`` below).  Survival far in the tail is checked
+against a Talbot inversion of the Laplace transform.
+
 The two internal evaluation routes (closed error-function dot products
 for moderate t, the fixed v-grid table for large t and for the points
 the first one hands over) share no code past the kernel
@@ -24,6 +29,7 @@ integrates the moments numerically (``q_density_basic``).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,8 +54,12 @@ from gbm_hitfun.density import (
     tail_constant,
     total_mass,
 )
-from gbm_hitfun.errors import DomainError
-from gbm_hitfun.quadrature import QuadratureSpec, integrate_finite
+from gbm_hitfun.errors import ConvergenceError, DomainError
+from gbm_hitfun.quadrature import (
+    QuadratureSpec,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 from gbm_hitfun.weight import (
     ModelParams,
     w_kappa_moment_tail,
@@ -123,6 +133,36 @@ def q_density_basic(ev, t):
     else:
         j_val = w_moment(ev.w, 1) / (4.0 * ts) - w0 + s_val
     return prefactor(lam, ts) * j_val
+
+
+def laplace_by_quadrature(ev, r: float) -> float:
+    """int_0^infty e^{-r^2 t} q(t) dt by adaptive quadrature of q.
+
+    The q-side of the Laplace check, sharing with
+    :func:`laplace_of_density` only the kernel; asked for 1e-10, it is
+    3.6e-7 off at (mu, x, r) = (1.2, 2, 50), where the integrand is a
+    narrow peak.
+    """
+    rr = r * r
+    lam = ev.params.lam
+
+    def integrand(ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.exp(-rr * ts) * q_density(ev, ts)
+
+    # the integrand rises from (essentially) zero through a peak near
+    # t = lam/2r before decaying like e^{-r^2 t}; cover the whole rise
+    # and peak with the finite engine so the tail scan only ever sees
+    # the decaying side
+    t_mid = max(2.0, 2.0 * lam * lam, 2.0 * lam / r)
+    splits = tuple(sorted({s for s in (lam * lam / 8.0, lam * lam / 2.0,
+                                       0.5 * lam / r, 2.0 * lam / r)
+                           if 0.0 < s < t_mid}))
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=768)
+    head = integrate_finite(integrand, 0.0, t_mid,
+                            replace(spec, split_points=splits or None))
+    tail = integrate_semi_infinite(integrand, t_mid, 0.9 * rr, spec)
+    return head.value + tail.value
 
 
 def q_half_closed(lam: float, t):
@@ -426,6 +466,30 @@ def q_talbot(mu: float, x: float, t: float) -> float:
         return float(mp.invertlaplace(lap, mp.mpf(t), method="talbot"))
 
 
+def survival_talbot(mu: float, x: float, big_t: float) -> float:
+    """P(A(tau) > T) by mpmath's Talbot inversion of (1 - L(sqrt s))/s,
+    L(r) = x^mu K_mu(x r) / K_mu(r), at 40 digits."""
+    import mpmath as mp
+    with mp.workdps(40):
+        m, xx = mp.mpf(mu), mp.mpf(x)
+
+        def lap(s):
+            r = mp.sqrt(s)
+            return (1 - xx ** m * mp.besselk(m, xx * r)
+                    / mp.besselk(m, r)) / s
+
+        return float(mp.invertlaplace(lap, mp.mpf(big_t), method="talbot"))
+
+
+# at half-integer mu the kernel is e^{z v} terms alone, which a single
+# quadrature panel from 10 (1 + lam) to 0.5 sqrt(T) used to miss
+@pytest.mark.parametrize("mu", [0.3, 1.2, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("big_t", [1e8, 1e10])
+def test_far_survival_matches_talbot(mu, big_t):
+    assert survival(ev_for(mu, 2.0), big_t) == pytest.approx(
+        survival_talbot(mu, 2.0, big_t), rel=1e-12, abs=0.0)
+
+
 # past t ~ 6e13 the table reaches beyond v = 1e8, where w2 is carried
 # by the small-u law of h below the u-grid
 @pytest.mark.slow
@@ -478,7 +542,7 @@ def test_table_route_work_budget(monkeypatch):
 # ---------------------------------------------------------------------
 # master consistency: transform of the density vs the closed ratio
 
-@pytest.mark.parametrize("mu,x,r", [
+_LAPLACE_SPOTS = [
     (0.0, 2.0, 1.0),
     (0.3, 1.2, 0.25),
     (0.5, 2.0, 1.0),
@@ -486,12 +550,27 @@ def test_table_route_work_budget(monkeypatch):
     (1.5, 5.0, 4.0),
     (2.2, 5.0, 2.0),
     (2.5, 2.0, 0.5),
-])
+]
+
+
+@pytest.mark.parametrize("mu,x,r", _LAPLACE_SPOTS)
 def test_laplace_spot_checks(mu, x, r):
     ev = ev_for(mu, x)
-    got = laplace_of_density(ev, r)
     want = laplace_ratio(mu, x, r)
-    assert got == pytest.approx(want, abs=1e-8, rel=1e-8)
+    assert laplace_of_density(ev, r) == pytest.approx(want, rel=1e-10,
+                                                      abs=0.0)
+    assert laplace_by_quadrature(ev, r) == pytest.approx(want, abs=1e-8,
+                                                         rel=1e-8)
+
+
+# at small r the swap takes (M0 - w_hat(r))/r as one transform, that of
+# the kernel's tail mass, so nothing cancels; at r = 50 the transform is
+# as small as 7e-87 and is still checked relative
+@pytest.mark.parametrize("mu,x", [(mu, x) for mu, x, _ in _LAPLACE_SPOTS])
+@pytest.mark.parametrize("r", [1e-4, 50.0])
+def test_laplace_swap_at_small_and_large_r(mu, x, r):
+    got = laplace_of_density(ev_for(mu, x), r)
+    assert got == pytest.approx(laplace_ratio(mu, x, r), rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------
@@ -509,6 +588,16 @@ def test_total_mass_is_one(mu, x):
 @pytest.mark.parametrize("x", [1.5, 3.0])
 def test_total_mass_is_one_at_small_drift(mu, x):
     assert total_mass(ev_for(mu, x)) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_total_mass_raises_where_the_small_u_law_is_cut():
+    # below mu of about 0.00095 the 400 terms kept of the small-u law of
+    # h leave out more than 1e-11 of the first moment (1 - 2.6e-3 at
+    # mu = 1e-4); the moment comes with the error
+    with pytest.raises(ConvergenceError) as info:
+        total_mass(ev_for(1e-4, 2.0))
+    assert info.value.err_est > 1e-11
+    assert info.value.estimate is not None
 
 
 def normalization_check(ev) -> float:

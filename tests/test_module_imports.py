@@ -1,5 +1,6 @@
 """Package layout rules: no module uses a private name of a sibling,
-and no public function goes unused.
+no public function goes unused, and only the quadrature module names
+the semi-infinite adaptive engine.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
@@ -157,6 +158,16 @@ def test_no_private_imports_between_modules():
     offenders = {path.name: private_imports(path.read_text())
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_only_quadrature_names_the_semi_infinite_engine():
+    # every t-integral of q in the package is an exact order swap; the
+    # adaptive semi-infinite engine serves the test oracles alone
+    offenders = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name != "quadrature.py"
+                 and "integrate_semi_infinite" in names_used(
+                     path.read_text())]
+    assert offenders == []
 
 
 def test_no_private_attribute_reads_between_modules():

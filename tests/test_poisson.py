@@ -1,20 +1,25 @@
-"""Poisson-kernel tests: both routes, the radial tail constant, the mass.
+"""Poisson-kernel tests: the closed route, the radial tail constant, the mass.
 
 Oracles used here, all independent of the code under test:
 
 * the (n-1)-dimensional Cauchy density at mu = 1/2,
-* a scipy radial Fourier inversion of the Laplace transform
-  x^mu K_mu(x k)/K_mu(k) of the density at r = k, which is the Fourier
-  transform of the kernel in the boundary variable,
+* scipy Fourier inversions (radial at n = 4, cosine at n = 2) of the
+  Laplace transform x^mu K_mu(x k)/K_mu(k) of the density at r = k,
+  which is the Fourier transform of the kernel in the boundary
+  variable,
 * the closed tail constant C_P = (x^{2 mu} - 1) Gamma(mu + a)
   / (Gamma(mu) pi^a), a = (n-1)/2, obtained by subordinating the
   Gaussian to the density's tail law C t^{-mu-1},
 * total probability: the kernel integrates to one over the boundary
-  (``boundary_mass`` below, a radial integral of the kernel routes
-  completed by an exact swap of the far tail).
+  (``boundary_mass`` below, a radial integral of the closed route
+  completed by an exact swap of the far tail),
+* the subordination integral over t (``kernel_subordination`` below,
+  adaptive t-quadrature of q), which shares only q with the closed
+  route.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from scipy import special as sp
 
 from gbm_hitfun.density import (
     build_evaluator,
+    cached_evaluator,
     q_density,
     survival,
     tail_constant,
@@ -31,11 +37,73 @@ from gbm_hitfun.poisson import (
     PoissonParams,
     cauchy_kernel,
     kernel_closed,
-    kernel_subordination,
     kernel_tail,
 )
-from gbm_hitfun.quadrature import QuadratureSpec, integrate_finite
+from gbm_hitfun.quadrature import (
+    QuadratureSpec,
+    integrate_finite,
+    integrate_semi_infinite,
+)
 from gbm_hitfun.weight import ModelParams
+
+
+def kernel_subordination(p: PoissonParams) -> float:
+    """Poisson kernel by subordinating the Gaussian to the functional.
+
+    Adaptive time integral of (4 pi)^{-(n-1)/2} e^{-rho^2/4t} q(t)
+    t^{-(n-1)/2}; the large-t power tail is integrated on a log scale,
+    where it decays exponentially.  Valid for every n >= 2 and shares
+    only q with the closed route.
+    """
+    ev = cached_evaluator(p.model.mu, p.model.x)
+    a = 0.5 * (p.n - 1.0)
+    mu = p.model.mu
+    lam = p.model.lam
+    rho = p.rho
+    c0 = lam * lam + rho * rho
+
+    def integrand(ts):
+        ts = np.asarray(ts, dtype=float)
+        # fold t^{-a} into the exponent so the t -> 0 end underflows
+        # cleanly instead of forming 0 * inf
+        return q_density(ev, ts) * np.exp(-rho * rho / (4.0 * ts)
+                                          - a * np.log(ts))
+
+    t_mid = max(4.0, 4.0 * lam * lam, 2.0 * c0)
+    splits = tuple(sorted({s for s in (c0 / 40.0, c0 / 8.0, c0 / 2.0,
+                                       lam * lam / 8.0, lam * lam)
+                           if 0.0 < s < t_mid}))
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
+                          max_subdivisions=768)
+    head = integrate_finite(integrand, 0.0, t_mid,
+                            replace(spec, split_points=splits or None))
+
+    def log_tail(ys):
+        ys = np.asarray(ys, dtype=float)
+        ts = np.exp(ys)
+        return q_density(ev, ts) * np.exp(-rho * rho / (4.0 * ts)
+                                          + (1.0 - a) * ys)
+
+    rate = 0.8 * (mu + a) if mu > 0.0 else 0.7 * a
+    tail = integrate_semi_infinite(log_tail, math.log(t_mid), rate, spec)
+    return ((head.value + tail.value)
+            / (4.0 * math.pi) ** (0.5 * (p.n - 1.0)))
+
+
+def laplace_of_q(mu: float, x: float, k):
+    """x^mu K_mu(x k)/K_mu(k), the Fourier transform of the kernel in
+    the boundary variable at |frequency| k."""
+    lam = x - 1.0
+    return x ** mu * sp.kve(mu, x * k) / sp.kve(mu, k) * np.exp(-lam * k)
+
+
+def fourier_kernel_n2(mu: float, x: float, rho: float) -> float:
+    """Kernel at n = 2 by inverting its 1-dimensional Fourier transform,
+    P(rho) = pi^{-1} int_0^inf L(k) cos(k rho) dk."""
+    lam = x - 1.0
+    val, _ = sint.quad(lambda k: laplace_of_q(mu, x, k) * math.cos(k * rho),
+                       0.0, 60.0 / lam, epsabs=0.0, epsrel=1e-12, limit=400)
+    return val / math.pi
 
 
 def fourier_kernel_n4(mu: float, x: float, rho: float) -> float:
@@ -47,8 +115,7 @@ def fourier_kernel_n4(mu: float, x: float, rho: float) -> float:
     lam = x - 1.0
 
     def integrand(k):
-        lap = x ** mu * sp.kve(mu, x * k) / sp.kve(mu, k) * math.exp(-lam * k)
-        return lap * k * k * np.sinc(k * rho / math.pi)
+        return laplace_of_q(mu, x, k) * k * k * np.sinc(k * rho / math.pi)
 
     val, _ = sint.quad(integrand, 0.0, 60.0 / lam, epsabs=0.0, epsrel=1e-12,
                        limit=400)
@@ -69,8 +136,47 @@ def test_closed_route_matches_fourier_inversion(rho):
     assert got == pytest.approx(fourier_kernel_n4(1.2, 2.0, rho), rel=1e-6)
 
 
+# at rho = 3 and high mu the oscillating integrand cancels down to the
+# kernel's size, which quad reports as roundoff; it still lands within
+# 1e-13 of the kernel
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 1.2, 2.2, 2.5, 3.7, 5.3, 7.0])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.5, 3.0])
+def test_plane_kernel_matches_fourier_inversion(mu, rho):
+    got = kernel_closed(PoissonParams(2, ModelParams(mu, 2.0), rho))
+    assert got == pytest.approx(fourier_kernel_n2(mu, 2.0, rho), rel=1e-11,
+                                abs=0.0)
+
+
+# past rho = 3 the cosine inversion loses relative accuracy; every
+# order j of the table sum agrees there, so the gap is the oracle's
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 1.2, 2.2, 2.5, 3.7, 5.3, 7.0])
+@pytest.mark.parametrize("rho", [6.0, 12.0, 20.0])
+def test_plane_kernel_matches_subordination(mu, rho):
+    p = PoissonParams(2, ModelParams(mu, 2.0), rho)
+    assert kernel_closed(p) == pytest.approx(kernel_subordination(p),
+                                             rel=5e-9, abs=0.0)
+
+
+# past rho of about 5e7 the v-table gets more ratio-2 panels; beyond
+# rho = 1e9 the corrections to the tail law, relative rho^{-2} for
+# mu >= 1, are below roundoff
+@pytest.mark.parametrize("mu", [1.2, 3.7, 7.0])
+@pytest.mark.parametrize("rho", [1e9, 1e12])
+def test_plane_kernel_far_radius_meets_tail_law(mu, rho):
+    x, a = 2.0, 0.5
+    c_p = ((x ** (2.0 * mu) - 1.0) * sp.gamma(mu + a)
+           / (sp.gamma(mu) * math.pi ** a))
+    got = kernel_closed(PoissonParams(2, ModelParams(mu, x), rho))
+    assert got == pytest.approx(c_p * rho ** (-1.0 - 2.0 * mu), rel=1e-12,
+                                abs=0.0)
+
+
 # at (0.3, 4) the last radii integrate the kernel past v = 1e8
-@pytest.mark.parametrize("mu,n,rel", [(1.2, 4, 1e-4), (0.3, 4, 4e-7)])
+@pytest.mark.parametrize("mu,n,rel", [
+    (1.2, 4, 1e-4), (0.3, 4, 4e-7),
+    (0.3, 2, 2e-8), (1.2, 2, 2e-8), (2.2, 2, 2e-8), (3.7, 2, 2e-8),
+])
 def test_kernel_tail_matches_closed_constant(mu, n, rel):
     x = 2.0
     a = 0.5 * (n - 1.0)
@@ -116,40 +222,12 @@ def q_tail_power_integral(ev, a: float, big_t: float) -> float:
             * (1.0 + 2.0 / (a * lt) + 6.0 / (a * lt) ** 2))
 
 
-def subordination_grid(ev, n: int, rhos, rho_cap: float):
-    """Kernel values on an array of radii from one shared t-grid.
-
-    Tabulates q once on log-spaced panels covering every radius up to
-    rho_cap, so each kernel value is a dot product; the truncated
-    large-t tail (where e^{-rho^2/4t} is already 1) is completed from
-    the tail law of q.  Serves the radial integral at n = 2, where the
-    scalar subordination route would re-integrate q thousands of times.
-    """
-    a = 0.5 * (n - 1.0)
-    lam = ev.params.lam
-    t_lo = min(1.0, lam * lam) / 300.0
-    t_hi = max(rho_cap * rho_cap, lam * lam, 1.0) * 2e4
-    decades = math.log10(t_hi / t_lo)
-    edges = np.geomspace(t_lo, t_hi, int(12 * decades) + 2)
-    nodes, wts = np.polynomial.legendre.leggauss(16)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    tw = (half[:, None] * wts[None, :]).ravel()
-    base = q_density(ev, ts) * tw * ts ** (-a)
-    rhos = np.asarray(rhos, dtype=float)
-    vals = np.exp(-rhos[:, None] * rhos[:, None] / (4.0 * ts[None, :])) @ base
-    vals += q_tail_power_integral(ev, a, t_hi)
-    return vals / (4.0 * math.pi) ** (0.5 * (n - 1.0))
-
-
 def boundary_mass(model: ModelParams, n: int) -> float:
     """Total boundary mass: sphere area times the radial integral of P.
 
-    The head [0, R] integrates the kernel itself (closed for n >= 3,
-    shared-grid subordination at n = 2).  The tail beyond R is
-    completed exactly by swapping the radial integral inside the
-    subordination formula, which turns it into int q(t) Q((n-1)/2,
+    The head [0, R] integrates :func:`kernel_closed` itself.  The tail
+    beyond R is completed exactly by swapping the radial integral inside
+    the subordination formula, which turns it into int q(t) Q((n-1)/2,
     R^2/4t) dt with Q the regularized upper gamma; that integral is
     taken adaptively up to T and finished with the survival function
     plus the first-order correction of Q's approach to 1.
@@ -161,8 +239,6 @@ def boundary_mass(model: ModelParams, n: int) -> float:
     sphere = 2.0 * math.pi ** a / sp.gamma(a)
 
     def radial(r):
-        if n == 2:
-            return subordination_grid(ev, n, r, big_r)
         ps = [kernel_closed(PoissonParams(n, model, float(v))) for v in r]
         return r ** (n - 2.0) * np.array(ps)
 
