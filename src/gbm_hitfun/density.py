@@ -14,8 +14,9 @@ This module evaluates q by two routes:
 * the direct route, for t up to t_switch: the polynomial part of E_l
   integrates to closed kernel moments and the e^{-kappa/4t} part, after
   completing the square in v, to a dot product of scaled complementary
-  error functions over the kernel representation.  The pieces cancel
-  as t grows, so every point carries a roundoff estimate;
+  error functions over the live nodes of the kernel's u-grid.  The
+  pieces cancel as t grows, so every point carries a loss estimate:
+  roundoff plus a bound on the grid nodes left out at small u;
 * the table route, for t beyond t_switch and for every point whose
   estimate passes 2e-10: J integrated in v on one fixed composite
   Gauss-Legendre grid (0.5-wide panels up to v = 32, ratio-2 panels up
@@ -188,7 +189,9 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     M0 = x^{mu-1/2}(mu^2 - 1/4)/(2x); for mu <= 1/2 this is the plain
     representation, for mu > 1/2 it is the subtracted representation
     with the closed first-moment identity substituted in.  The three
-    pieces cancel as t grows, which the loss estimate tracks.
+    pieces cancel as t grows, which the loss estimate tracks: 2.3e-16 of
+    the largest piece plus the bound on the small-u nodes S skips (see
+    WLambdaRep.exp_weighted_cut), over |J|.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
@@ -198,7 +201,8 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     s_val = ev.w.exp_weighted_integral(ts)
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
-    loss = 2.3e-16 * scale / np.maximum(np.abs(j_val), 1e-300)
+    loss = ((2.3e-16 * scale + ev.w.exp_weighted_cut(ts))
+            / np.maximum(np.abs(j_val), 1e-300))
     return _prefactor(lam, ts) * j_val, loss
 
 

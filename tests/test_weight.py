@@ -19,6 +19,7 @@ the law below the grid.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -521,3 +522,34 @@ def test_laplace_transform_identity(mu, x):
         rhs = (r * x ** mu * sp.kve(mu, x * r) / sp.kve(mu, r)
                - x ** (mu - 0.5) * (r - (mu * mu - 0.25) * lam / (2.0 * x)))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+
+
+# ---------------------------------------------------------------------
+# the density's direct route
+
+@pytest.mark.parametrize("mu", [0.0, 0.01, 0.3, 0.8, 1.2, 1.4999, 2.2, 3.7,
+                                7.0, 9.3])
+@pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
+def test_exp_weighted_integral_matches_full_grid(mu, x):
+    # the erfcx product runs over the kernel grid's live nodes only;
+    # against the sum over every node it may be off by the bound on the
+    # nodes cut below the live range, 1e-20 of the sum for those cut
+    # above it, and 8 ulp of the sum of |terms|
+    lam = x - 1.0
+    rep = build_w(ModelParams(mu, x))
+    kern = rep._kernel
+    mass = np.abs(kern.amp)
+    assert mass[kern.live.stop:].sum() <= 1e-20 * mass[kern.live].sum()
+    # t up to the density's switch time 1e3 max(1, lam^2)
+    ts = np.geomspace(1e-3, 1e3 * max(1.0, lam * lam), 200)
+    sq = np.sqrt(ts)[:, None]
+    erfcx = sp.erfcx(0.5 * lam / sq + kern.u * sq)
+    full = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ kern.amp)
+    size = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ mass)
+    cut = rep.exp_weighted_cut(ts)
+    below = math.sqrt(math.pi) * sq[:, 0] * np.abs(
+        erfcx[:, :kern.live.start] @ kern.amp[:kern.live.start])
+    assert np.all(below <= cut)
+    got = replace(rep, discrete_terms=()).exp_weighted_integral(ts)
+    bound = cut + (1e-20 + 8.0 * np.finfo(float).eps) * size
+    assert np.all(np.abs(got - full) <= bound)
