@@ -14,17 +14,19 @@ This module evaluates q by two routes:
 * the direct route, for t up to t_switch: the polynomial part of E_l
   integrates to closed kernel moments and the e^{-kappa/4t} part, after
   completing the square in v, to a dot product of scaled complementary
-  error functions over the live nodes of the kernel's u-grid.  The
-  pieces cancel as t grows, so every point carries a loss estimate:
-  roundoff plus a bound on the grid nodes left out at small u;
+  error functions over the kernel's short rule in log u (32-128 nodes).
+  The pieces cancel as t grows, so every point carries a loss estimate:
+  roundoff, the rule's measured deviation and a bound on the grid nodes
+  left out at small u;
 * the table route, for t beyond t_switch and for every point whose
   estimate passes 2e-10: J integrated in v on one fixed composite
   Gauss-Legendre grid (0.5-wide panels up to v = 32, ratio-2 panels up
   to v = 1e8, 20 points each).  Weight times kernel value and kappa at
   the nodes do not depend on t; each evaluator builds them on its first
   fallback, and all fallback points of a call are then one product
-  E_l(kappa_k/4t_i) @ (W_k w(v_k)).  Beyond the grid the polynomial
-  part of E_l is completed exactly by the kernel's kappa-moment tails,
+  E_l(kappa_k/4t_i) @ (W_k w(v_k)), with a lower subtraction E_j where
+  that cancels far less (small t, high drift).  Beyond the grid the
+  polynomial part is completed exactly by the kernel's kappa-moment tails,
   and a t too large for the grid (t above about 6e13) gets more ratio-2
   panels for that call, so the route covers every t > 0 (up to 2e99 at
   mu = 0).  It agrees with adaptive quadrature of J to 1e-10 for mu < 9.5.
@@ -190,8 +192,9 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     representation, for mu > 1/2 it is the subtracted representation
     with the closed first-moment identity substituted in.  The three
     pieces cancel as t grows, which the loss estimate tracks: 2.3e-16 of
-    the largest piece plus the bound on the small-u nodes S skips (see
-    WLambdaRep.exp_weighted_cut), over |J|.
+    the largest piece, the deviation of S's short rule times |S| and the
+    bound on the small-u nodes S skips (see WLambdaRep.exp_weighted_cut
+    and exp_weighted_deviation), over |J|.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
@@ -201,7 +204,8 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     s_val = ev.w.exp_weighted_integral(ts)
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
-    loss = ((2.3e-16 * scale + ev.w.exp_weighted_cut(ts))
+    loss = ((2.3e-16 * scale + ev.w.exp_weighted_cut(ts)
+             + ev.w.exp_weighted_deviation * np.abs(s_val))
             / np.maximum(np.abs(j_val), 1e-300))
     return _prefactor(lam, ts) * j_val, loss
 
@@ -218,6 +222,18 @@ def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
     return v * (2.0 * lam + v), wts * ev.w.eval(v), top, tails
 
 
+def _table_sum(table, ts: np.ndarray, j: int):
+    """J at an array of t from one table with E_j in place of E_l, and
+    the l1 norm of the product's summands."""
+    kap, wt, _, tails = table
+    e = _subtracted_exp(kap[None, :] / (4.0 * ts[:, None]), j)
+    out = e @ wt
+    for i in range(j + 1):
+        out += ((-1) ** (i + 1) / (math.factorial(i) * (4.0 * ts) ** i)
+                * tails[i])
+    return out, np.abs(e) @ np.abs(wt)
+
+
 def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     """Density by the table route at an array of t > 0.
 
@@ -227,6 +243,10 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     kappa/4t < _POLY_S at the top gets k ratio-2 panels past it, k the
     fewest that reach _POLY_S, and its tails move to the new top; k
     depends on that t alone, so a value does not depend on the others.
+    E_j gives the same J for every 1 <= j <= l by the kernel moment
+    identities.  Where the summands of E_l pass 1e3 |J| (small t, high
+    drift) and some j cuts their l1 norm 4-fold, the j with the least
+    norm is taken.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
@@ -237,13 +257,27 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     j_val = np.empty_like(ts)
     for k in np.unique(panels):
         rows = panels == k
-        kap, wk, _, tk = ev.extended_table(int(k))
-        tr = ts[rows]
-        jr = _subtracted_exp(kap[None, :] / (4.0 * tr[:, None]), l) @ wk
-        for j in range(l + 1):
-            jr += ((-1) ** (j + 1) / (math.factorial(j) * (4.0 * tr) ** j)
-                   * tk[j])
-        j_val[rows] = jr
+        table, tr = ev.extended_table(int(k)), ts[rows]
+        jr, norm = _table_sum(table, tr, l)
+        deep = np.flatnonzero(norm > 1e3 * np.abs(jr))
+        if deep.size and l > 1:
+            # the summands of E_{l-1} have an l1 norm of at least P - norm,
+            # P = sum |W w| (kappa/4t)^l / l!; where P >= 2 norm, l is least
+            lk = l * np.log(table[0])
+            log_p = (np.log(np.abs(table[1]) @ np.exp(lk - lk.max()))
+                     + lk.max() - l * np.log(4.0 * tr[deep])
+                     - math.lgamma(l + 1.0))
+            deep = deep[log_p < np.log(2.0 * norm[deep])]
+        # down from l the norm falls to its least, then rises
+        best, least = jr.copy(), norm.copy()
+        for j in range(l - 1, 0, -1):
+            if not deep.size:
+                break
+            alt, alt_norm = _table_sum(table, tr[deep], j)
+            better = alt_norm < least[deep]
+            deep = deep[better]
+            best[deep], least[deep] = alt[better], alt_norm[better]
+        j_val[rows] = np.where(least < 0.25 * norm, best, jr)
     if mu <= 0.5:
         j_val += x ** (mu - 0.5) / (2.0 * ts)
     return _prefactor(lam, ts) * j_val

@@ -531,15 +531,19 @@ def test_laplace_transform_identity(mu, x):
                                 7.0, 9.3])
 @pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
 def test_exp_weighted_integral_matches_full_grid(mu, x):
-    # the erfcx product runs over the kernel grid's live nodes only;
-    # against the sum over every node it may be off by the bound on the
-    # nodes cut below the live range, 1e-20 of the sum for those cut
-    # above it, and 8 ulp of the sum of |terms|
+    # the erfcx product runs over the kernel's short rule in log u, built
+    # from the grid's live nodes; against the sum over every node it may
+    # be off by the bound on the nodes cut below the live range, 1e-20 of
+    # the sum for those cut above it, the rule's declared deviation and
+    # 8 ulp of the sum of |terms|
     lam = x - 1.0
     rep = build_w(ModelParams(mu, x))
     kern = rep._kernel
     mass = np.abs(kern.amp)
     assert mass[kern.live.stop:].sum() <= 1e-20 * mass[kern.live].sum()
+    dev = rep.exp_weighted_deviation
+    assert kern.rule[0].size <= 128
+    assert dev <= 1e-14
     # t up to the density's switch time 1e3 max(1, lam^2)
     ts = np.geomspace(1e-3, 1e3 * max(1.0, lam * lam), 200)
     sq = np.sqrt(ts)[:, None]
@@ -551,5 +555,38 @@ def test_exp_weighted_integral_matches_full_grid(mu, x):
         erfcx[:, :kern.live.start] @ kern.amp[:kern.live.start])
     assert np.all(below <= cut)
     got = replace(rep, discrete_terms=()).exp_weighted_integral(ts)
-    bound = cut + (1e-20 + 8.0 * np.finfo(float).eps) * size
+    bound = cut + (dev + 1e-20 + 8.0 * np.finfo(float).eps) * size
     assert np.all(np.abs(got - full) <= bound)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01, 0.3, 1.2, 1.4999, 7.0, 9.3])
+@pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
+def test_exp_weighted_integral_dense_in_t(mu, x):
+    # the rule's deviation is measured at 40 t; between them, and down
+    # to t = 1e-6, it must hold against an extended-precision sum over
+    # every node of the grid
+    lam = x - 1.0
+    rep = build_w(ModelParams(mu, x))
+    kern = rep._kernel
+    ts = np.geomspace(1e-6, 1e3 * max(1.0, lam * lam), 2000)
+    sq = np.sqrt(ts)[:, None]
+    erfcx = sp.erfcx(0.5 * lam / sq + kern.u * sq)
+    full = (math.sqrt(math.pi) * sq[:, 0].astype(np.longdouble)
+            * (erfcx.astype(np.longdouble) * kern.amp).sum(axis=1))
+    size = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ np.abs(kern.amp))
+    got = replace(rep, discrete_terms=()).exp_weighted_integral(ts)
+    bound = rep.exp_weighted_cut(ts) + (rep.exp_weighted_deviation + 1e-20
+                                        + 8.0 * np.finfo(float).eps) * size
+    assert np.all(np.abs(got - full).astype(float) <= bound)
+
+
+def test_exp_weighted_integral_with_an_empty_live_range():
+    # at mu = 5e-324, 1 - x^{-2 mu} rounds to 0 and h carries no mass, so
+    # the live range is empty; the rule keeps it, with deviation 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rep = build_w(ModelParams(5e-324, 2.0))
+    kern = rep._kernel
+    assert kern.live.start >= kern.live.stop
+    assert kern.rule[0].size == 0 and rep.exp_weighted_deviation == 0.0
+    ts = np.geomspace(1e-2, 1e3, 50)
+    assert np.array_equal(rep.exp_weighted_integral(ts), np.zeros(50))
