@@ -10,13 +10,14 @@ A(tau) of the height process:
                 t^{-(n-1)/2} dt.
 
 The module evaluates this kernel by integrating out t first, which
-leaves a single integral against the kernel w from :mod:`.weight`: of a
-rational bracket for n >= 3 (adaptive v-quadrature completed by exact
-kernel moment tails), and at n = 2, where that bracket's prefactor
-degenerates, of its logarithmic limit, summed on the density
-evaluator's cached v-table.  At mu = 1/2 the functional is one-sided
-1/2-stable and the kernel collapses to the (n-1)-dimensional Cauchy
-density.
+leaves a single integral against the kernel w from :mod:`.weight` of a
+function of z = kappa/c0 minus its Taylor polynomial, by
+:func:`.density.taylor_remainder`: of (1+z)^{-m} for n >= 3 (adaptive
+v-quadrature completed by exact kernel moment tails), and at n = 2,
+where that bracket's prefactor degenerates, of its logarithmic limit,
+by :func:`.density.table_integral` on the density evaluator's cached
+v-table.  At mu = 1/2 the functional is one-sided 1/2-stable and the
+kernel collapses to the (n-1)-dimensional Cauchy density.
 
 Also here: the rho -> infinity tail constant of the kernel, by
 extrapolation over a geometric radius grid.
@@ -31,18 +32,15 @@ from typing import Tuple
 import numpy as np
 
 from .bessel import gamma_fn
-from .density import cached_evaluator, q_density
+from .density import (cached_evaluator, q_density, table_integral,
+                      taylor_remainder)
 from .errors import ConvergenceError, DomainError
 from .quadrature import (
     QuadratureSpec,
     gauss_legendre_panels,
     integrate_finite,
 )
-from .weight import (
-    ModelParams,
-    w_kappa_moment_tail,
-    w_power_moment_tail,
-)
+from .weight import ModelParams, w_kappa_moment_tail
 
 
 @dataclass(frozen=True)
@@ -92,51 +90,15 @@ def cauchy_kernel(n: int, lam: float, rho) -> float:
 # ---------------------------------------------------------------------
 # closed route
 
-def _pow_shortfall(z: np.ndarray, m: float) -> np.ndarray:
-    """(1+z)^{-m} - 1 for z >= 0, without cancellation at small z."""
-    return np.expm1(-m * np.log1p(z))
+# Taylor coefficients (-1)^{i+1} / i of log(1+z), for taylor_remainder
+_LOG1P_COEFS = np.r_[0.0, -(-1.0) ** np.arange(1.0, 128.0)
+                     / np.arange(1.0, 128.0)]
 
 
-def _pow_shortfall_linear(z: np.ndarray, m: float) -> np.ndarray:
-    """(1+z)^{-m} - 1 + m z for z >= 0, stably.
-
-    The direct form loses the leading m(m+1)z^2/2 to roundoff for
-    small z, so below z = 1/2 the binomial remainder series is summed
-    instead (term ratio -z (m+k)/(k+1), immediately decreasing).
-    """
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 0.5
-    if small.any():
-        zs = z[small]
-        term = 0.5 * m * (m + 1.0) * zs * zs
-        acc = term.copy()
-        for k in range(2, 90):
-            term = term * (-zs) * (m + k) / (k + 1.0)
-            acc += term
-            if np.all(np.abs(term) <= 1e-17 * np.abs(acc) + 1e-320):
-                break
-        out[small] = acc
-    if (~small).any():
-        zb = z[~small]
-        out[~small] = np.expm1(-m * np.log1p(zb)) + m * zb
-    return out
-
-
-def _log_shortfall(z: np.ndarray, j: int) -> np.ndarray:
-    """log(1+z) minus its Taylor polynomial through degree j, z >= 0.
-
-    Below z = 1/2, where the difference cancels down to its first term,
-    the remainder sum_{i > j} (-1)^{i+1} z^i / i is summed through
-    i = j + 58 instead (its terms fall by at least half).
-    """
-    i = np.arange(1.0, j + 59.0)
-    coefs = -(-1.0) ** i / i
-    out = np.log1p(z) - z * np.polyval(coefs[:j][::-1], z)
-    small = z < 0.5
-    out[small] = (z[small] ** (j + 1)
-                  * np.polyval(coefs[j:][::-1], z[small]))
-    return out
+def _binomial_coefs(m: float) -> np.ndarray:
+    """Taylor coefficients C(-m, i) of (1+z)^{-m}, by the product rule."""
+    return np.cumprod(np.r_[1.0, -(m + np.arange(127.0))
+                            / np.arange(1.0, 128.0)])
 
 
 def _kernel_plane(p: PoissonParams) -> float:
@@ -144,29 +106,25 @@ def _kernel_plane(p: PoissonParams) -> float:
 
     Integrating out t leaves P = (lam / 2 pi) ([mu <= 1/2] 2 x^{mu-1/2}
     / c0 - int w g_j(z) dv), g_j(z) = log(1+z) - sum_{i <= j}
-    (-1)^{i+1} z^i / i, exact for every min(1, l) <= j <= l = l_terms
-    by the kernel moment identities.  The integral is the table's dot
-    product, completed past its top by the kappa-moment tails for the
-    polynomial part and by 20-point ratio-2 panels of w log(1+z), eight
-    at a time, for the log part, until a panel adds under 1e-17 of the
-    sum.  The table is extended until z reaches 4 at its top, so the
-    two completions do not cancel.  The j whose summands have the
-    smallest l1 norm is taken: no single j holds its digits both at
-    rho = 0 and at large rho.
+    (-1)^{i+1} z^i / i the Taylor remainder of log1p, exact for every
+    min(1, l) <= j <= l = l_terms by the kernel moment identities.  The
+    integral is :func:`table_integral` at sigma = c0, which picks j by
+    the l1 norm of its summands, completed past the table's top by
+    20-point ratio-2 panels of w log(1+z), eight at a time, until a
+    panel adds under 1e-17 of that norm.  The table is extended until z
+    reaches 4 at its top, so the two completions do not cancel.
     """
     model = p.model
     mu, lam, x = model.mu, model.lam, model.x
     ev = cached_evaluator(mu, x)
     c0 = lam * lam + p.rho * p.rho
     v_need = math.sqrt(lam * lam + 4.0 * c0) - lam
-    kappa, wt, top, tails = ev.extended_table(
+    table = ev.extended_table(
         max(0, math.ceil(math.log2(v_need / ev.table[2]))))
-    terms = {j: wt * _log_shortfall(kappa / c0, j)
-             for j in range(min(1, ev.l_terms), ev.l_terms + 1)}
-    j = min(terms, key=lambda i: np.abs(terms[i]).sum())
-    scale = np.abs(terms[j]).sum()
-    integral = terms[j].sum() - sum((-1) ** (i + 1) * tails[i] / (i * c0 ** i)
-                                    for i in range(1, j + 1))
+    integral, scale = (float(a[0]) for a in table_integral(
+        table, np.array([c0]), np.log1p, _LOG1P_COEFS, lambda j: 0.5,
+        ev.l_terms))
+    top = table[2]
     while True:
         v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0), 20)
         parts = (wts * ev.w.eval(v)
@@ -184,16 +142,19 @@ def kernel_closed(p: PoissonParams) -> float:
 
     Integrating out t in the subordination formula leaves, for n >= 3,
 
-        P = C lam c0^{-m} [ (n-2) x^{mu-1/2} / c0
-                            + int w(v) ((1+z)^{-m} - 1) dv ]       (mu < 1/2)
-        P = C lam c0^{-m} int w(v) ((1+z)^{-m} - 1 + m z) dv       (mu > 1/2)
+        P = C lam c0^{-m} [ [mu < 1/2] (n-2) x^{mu-1/2} / c0
+                            + int w(v) R_j(z) dv ]
 
     with C = Gamma(n/2-1)/(2 pi^{n/2}), m = n/2 - 1, c0 = lam^2 +
-    rho^2 and z = v(2 lam + v)/c0, by adaptive v-quadrature up to a
-    cut and exact kernel moment tails beyond.  At n = 2 the prefactor
-    degenerates; the m -> 0 limit of the bracket is a log, and
-    :func:`_kernel_plane` sums it on the density evaluator's v-table
-    (within 1e-11 of a Fourier inversion at x = 2, mu <= 7, rho <= 3).
+    rho^2, z = v(2 lam + v)/c0 and R_j = (1+z)^{-m} minus its Taylor
+    polynomial through degree j = [mu > 1/2], by adaptive v-quadrature
+    up to a cut and exact kernel moment tails of that polynomial beyond.
+    At n = 2 the prefactor degenerates; the m -> 0 limit of the bracket
+    is a log, and :func:`_kernel_plane` sums it on the density
+    evaluator's v-table.  The tests hold it within 1e-11 of a Fourier
+    inversion at x = 2, mu <= 7, rho <= 3 (4.1e-13 at worst there),
+    within 5e-9 of subordination at rho = 6-20 and within 1e-12 of the
+    tail law at rho >= 1e9.
     At mu = 1/2 the exact Cauchy form is returned.
     """
     n = p.n
@@ -207,13 +168,14 @@ def kernel_closed(p: PoissonParams) -> float:
     ev = cached_evaluator(mu, x)
     m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
-    sub = mu > 0.5
-    shortfall = _pow_shortfall_linear if sub else _pow_shortfall
+    j = int(mu > 0.5)
+    coefs = _binomial_coefs(m)
 
     def integrand(v):
         v = np.asarray(v, dtype=float)
         z = v * (2.0 * lam + v) / c0
-        return ev.w.eval(v) * shortfall(z, m)
+        return ev.w.eval(v) * taylor_remainder(
+            lambda y: np.expm1(-m * np.log1p(y)), coefs, z, j, 0.5)
 
     # structure sits at the w scales (v ~ 1 + lam) and at the bracket
     # saturation scale v ~ sqrt(c0); past v_hi the bracket is -1 (or
@@ -228,13 +190,12 @@ def kernel_closed(p: PoissonParams) -> float:
                           max_subdivisions=1200, split_points=splits or None)
     quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value
 
-    comp = -w_power_moment_tail(ev.w, 0, v_hi)
-    if sub:
-        comp += (m / c0) * w_kappa_moment_tail(ev.w, 1, v_hi)
+    comp = -sum(float(coefs[i]) * w_kappa_moment_tail(ev.w, i, v_hi)
+                / c0 ** i for i in range(j + 1))
 
     const = gamma_fn(0.5 * n - 1.0) * lam / (2.0 * math.pi ** (0.5 * n))
     bracket = quad_part + comp
-    if not sub:
+    if not j:
         bracket += (n - 2.0) * x ** (mu - 0.5) / c0
     return const * c0 ** (-m) * bracket
 

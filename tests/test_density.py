@@ -31,6 +31,7 @@ integrates the moments numerically (``q_density_basic``).
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -39,12 +40,11 @@ from scipy import integrate as sint
 from scipy import special as sp
 from scipy import stats as sstats
 
-from gbm_hitfun import density, weight
+from gbm_hitfun import density, poisson, weight
 from gbm_hitfun.density import (
     TailConstant,
     _q_direct_with_loss,
     _q_table,
-    _subtracted_exp,
     build_evaluator,
     cached_evaluator,
     dufresne_density,
@@ -54,6 +54,7 @@ from gbm_hitfun.density import (
     rescale,
     survival,
     tail_constant,
+    taylor_remainder,
     total_mass,
 )
 from gbm_hitfun.errors import ConvergenceError, DomainError
@@ -84,6 +85,12 @@ def prefactor(lam: float, t):
     return lam * np.exp(-lam * lam / (4.0 * t)) / np.sqrt(np.pi * t)
 
 
+def exp_remainder(s, j):
+    """E_j(s): e^{-s} minus its Taylor polynomial through degree j."""
+    return taylor_remainder(lambda z: np.expm1(-z), density._EXP_COEFS, s,
+                            j, 0.5 * (j + 1.0))
+
+
 def q_substituted(ev, t: float) -> float:
     """Density by adaptive quadrature of J in s = kappa/4t.
 
@@ -108,7 +115,7 @@ def q_substituted(ev, t: float) -> float:
         s = np.asarray(s, dtype=float)
         root = np.sqrt(4.0 * s * t + lam * lam)
         v = 4.0 * s * t / (root + lam)
-        return ev.w.eval(v) * _subtracted_exp(s, j) * (2.0 * t / root)
+        return ev.w.eval(v) * exp_remainder(s, j) * (2.0 * t / root)
 
     grid = np.geomspace(1e-8, s_cut, 400)
     norm = {i: np.abs(integrand(grid, i) * grid).sum()
@@ -188,7 +195,6 @@ def q_three_halves_oracle(lam: float, t: float) -> float:
     # J = sqrt(pi t) e^{z^2} erfc(z) - 1 + (lam + 1)/(2t) with
     # z = (lam + 2t)/(2 sqrt t); the pieces cancel to O(t^{-2}) as t
     # grows, so evaluate in extended precision
-    import mpmath as mp
     with mp.workdps(40):
         tt = mp.mpf(t)
         lm = mp.mpf(lam)
@@ -202,7 +208,6 @@ def q_three_halves_oracle(lam: float, t: float) -> float:
 def q_five_halves_oracle(lam: float, t: float) -> float:
     # extended-precision quadrature of the explicit damped-oscillation
     # kernel against the twice-subtracted exponential of kappa/4t
-    import mpmath as mp
     with mp.workdps(30):
         tt = mp.mpf(t)
         lm = mp.mpf(lam)
@@ -239,31 +244,61 @@ def test_switch_time_default():
 
 
 # ---------------------------------------------------------------------
-# subtracted exponential helper
+# Taylor-remainder primitive
 
-@pytest.mark.parametrize("l", [0, 1, 2, 4])
-def test_subtracted_exp_matches_mpmath_reference(l):
-    # 50-digit reference on both sides of the series/difference branch
-    import mpmath as mp
-    s = np.array([1e-8, 1e-3, 0.1, 0.4 * (l + 1), 0.6 * (l + 1),
-                  3.0, 10.0, 40.0])
-    got = _subtracted_exp(s, l)
-    # the reference cancels ~8(l+1) digits at the smallest s, so give
-    # it plenty of headroom
+def _pow_family(m):
+    return (f"pow{m}", lambda z: np.expm1(-m * np.log1p(z)),
+            poisson._binomial_coefs(m), lambda j: 0.5,
+            lambda z: (1 + z) ** (-m), lambda i: mp.binomial(-m, i))
+
+
+# (name, f0, coefs, switch(j), f and c_i in mpmath) for the three
+# families the package subtracts: e^{-s}, log(1+z) and (1+z)^{-m}
+FAMILIES = [
+    ("exp", lambda s: np.expm1(-s), density._EXP_COEFS,
+     lambda j: 0.5 * (j + 1.0), lambda z: mp.exp(-z),
+     lambda i: mp.mpf(-1) ** i / mp.factorial(i)),
+    ("log1p", np.log1p, poisson._LOG1P_COEFS, lambda j: 0.5,
+     lambda z: mp.log1p(z),
+     lambda i: mp.mpf(-1) ** (i + 1) / i if i else mp.mpf(0)),
+] + [_pow_family(m) for m in (0.5, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
+def test_taylor_remainder_matches_mpmath_reference(family, j):
+    # 100-digit reference on both sides of the series/difference switch
+    _, f0, coefs, switch, f, c = family
+    sw = switch(j)
+    z = np.array([1e-8, 1e-3, 0.1, 0.9 * sw, sw, 1.1 * sw, 3.0, 10.0,
+                  40.0])
+    got = taylor_remainder(f0, coefs, z, j, sw)
+    # the reference cancels ~8(j+1) digits at the smallest z
     with mp.workdps(100):
-        ref = np.array([float(mp.exp(-mp.mpf(sv))
-                              - sum(mp.mpf(-sv) ** j / mp.factorial(j)
-                                    for j in range(l + 1)))
-                        for sv in s])
+        ref = np.array([float(f(mp.mpf(zv)) - sum(
+            c(i) * mp.mpf(zv) ** i for i in range(j + 1))) for zv in z])
     assert np.allclose(got, ref, rtol=5e-14, atol=1e-300)
 
 
-def test_subtracted_exp_sign_alternation():
-    # E_l(s) has the sign of (-1)^{l+1} for all s > 0
-    s = np.geomspace(1e-6, 60.0, 40)
-    for l in range(0, 5):
-        vals = _subtracted_exp(s, l)
-        assert np.all(vals * (-1.0) ** (l + 1) > 0.0)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+def test_taylor_remainder_has_the_sign_of_its_first_term(family):
+    # the (j+1)-th derivative of each family keeps one sign on z > 0,
+    # so by Lagrange's remainder R_j has the sign of c_{j+1}
+    _, f0, coefs, switch, _, c = family
+    z = np.geomspace(1e-6, 60.0, 40)
+    for j in range(0, 5):
+        vals = taylor_remainder(f0, coefs, z, j, switch(j))
+        assert np.all(vals * float(mp.sign(c(j + 1))) > 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+def test_taylor_remainder_is_continuous_at_the_switch(family):
+    _, f0, coefs, switch, _, _ = family
+    for j in range(1, 5):
+        sw = switch(j)
+        below, above = taylor_remainder(
+            f0, coefs, np.array([np.nextafter(sw, 0.0), sw]), j, sw)
+        assert below == pytest.approx(above, rel=5e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------
@@ -467,7 +502,6 @@ def test_table_route_matches_adaptive_oracle(mu, x):
 def q_talbot(mu: float, x: float, t: float) -> float:
     """q(t) by mpmath's Talbot inversion of the Laplace transform
     x^mu K_mu(x sqrt s) / K_mu(sqrt s), at 40 digits."""
-    import mpmath as mp
     with mp.workdps(40):
         m, xx = mp.mpf(mu), mp.mpf(x)
 
@@ -481,7 +515,6 @@ def q_talbot(mu: float, x: float, t: float) -> float:
 def survival_talbot(mu: float, x: float, big_t: float) -> float:
     """P(A(tau) > T) by mpmath's Talbot inversion of (1 - L(sqrt s))/s,
     L(r) = x^mu K_mu(x r) / K_mu(r), at 40 digits."""
-    import mpmath as mp
     with mp.workdps(40):
         m, xx = mp.mpf(mu), mp.mpf(x)
 
