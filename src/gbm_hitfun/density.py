@@ -240,21 +240,18 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     representation, for mu > 1/2 it is the subtracted representation
     with the closed first-moment identity substituted in.  The three
     pieces cancel as t grows, which the loss estimate tracks: 2.3e-16 of
-    the largest piece, the deviation of S's short rule times |S| and the
-    bound on the small-u nodes S skips (see WLambdaRep.exp_weighted_cut
-    and exp_weighted_deviation), over |J|.
+    the largest piece plus the error bound that comes with S (see
+    WLambdaRep.exp_weighted_integral), over |J|.
     """
     p = ev.params
     mu, lam, x = p.mu, p.lam, p.x
     xi = x ** (mu - 0.5)
     m0 = xi * (mu * mu - 0.25) / (2.0 * x)
     lead = xi / (2.0 * ts)
-    s_val = ev.w.exp_weighted_integral(ts)
+    s_val, s_err = ev.w.exp_weighted_integral(ts)
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
-    loss = ((2.3e-16 * scale + ev.w.exp_weighted_cut(ts)
-             + ev.w.exp_weighted_deviation * np.abs(s_val))
-            / np.maximum(np.abs(j_val), 1e-300))
+    loss = (2.3e-16 * scale + s_err) / np.maximum(np.abs(j_val), 1e-300)
     return _prefactor(lam, ts) * j_val, loss
 
 
@@ -306,6 +303,8 @@ def q_density(ev: DensityEvaluator, t):
     its first such point; together they cover every t > 0 (at mu = 0
     up to about 2e99 at x = 2, then DomainError), and the table route
     agrees with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
+    End to end the direct route is up to 5.1e-10 off Talbot inversion,
+    at (mu, x, t) = (3.7, 2, 4.508), where its loss estimate reads 3e-11.
     Nonnegative up to roundoff, integrates to one, and its Laplace
     transform matches :func:`laplace_ratio`.
     """

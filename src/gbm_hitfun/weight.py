@@ -5,25 +5,23 @@ at 1, the density of the stopped integral functional can be written as
 an explicit prefactor plus an integral against a kernel w_lam on
 [0, infinity).  The kernel splits into
 
-* a discrete part w1: a finite combination of exponentials e^{z_i v}
-  over the zeros z_i of K_mu (empty for mu < 3/2), and
-* a continuous part w2: the Laplace transform at v of a nonnegative
-  Bessel-product ratio h(u) times u, present exactly when mu - 1/2 is
-  not a nonnegative integer.
+* a discrete part w1 = sum A_i e^{z_i v} over the zeros z_i of K_mu
+  (empty for mu < 3/2), and
+* a continuous part w2 = coef int h(u) u e^{-u v} du, h >= 0 a
+  Bessel-product ratio; coef carries cos(pi mu), so w2 vanishes when
+  mu - 1/2 is a nonnegative integer.
 
-Everything downstream (density, tails, Poisson kernels, moment
-identities) consumes this module.  Pointwise values of w2 are dot
-products over a fixed composite Gauss-Legendre u-grid; below its first
-node the small-u law of h integrates to incomplete gamma functions, so
-w2 has one formula at every v.  The erfcx-weighted integral the
-density's direct route needs runs over a short Gauss rule in log u
-(32-128 nodes), built on first use from the grid's live part, which
-drops the nodes under 1e-20 of the mass at either end; the rule's
-measured deviation and a bound on the low end's share feed the
-density's loss estimate.  Integrals of the kernel are computed in
-swapped order: integrating the exponentials in v first reduces them to
-sums and h-integrals with all-positive terms, which is how the moment
-operations reach near machine accuracy.
+A fixed composite Gauss-Legendre u-grid makes w2 a sum of amp_k
+e^{-u_k v} (an empty sum at half-integer mu) plus an origin piece, the
+small-u law of h integrated below the grid.  So both parts are mode
+sets a e^{z v}, Re z < 0, and every functional of w taken here (values,
+the power-moment tails int_vcut^infty v^p w dv, the Laplace transform
+of the tail mass) has one closed form per mode, used by both sets, plus
+the origin piece's own.  Integrating the exponentials in v first leaves
+sums of one sign per set, which is how the moments reach near machine
+accuracy.  The density's direct route gets its erfcx-weighted integral
+over a short Gauss rule in log u (32-128 nodes), built on first use,
+together with a bound on its error.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -54,9 +52,6 @@ from .quadrature import (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
-# entries per block of the erfcx product: 0.5 MB stays in cache, where
-# 1000 rows of a long grid at once allocate and page-fault tens of MB
-_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -74,6 +69,8 @@ class ModelParams:
     def __post_init__(self):
         if not np.isfinite(self.mu) or self.mu < 0:
             raise DomainError(f"drift must be finite and >= 0, got {self.mu}")
+        if 0.0 < self.mu < np.finfo(float).tiny:  # h would be 0/0
+            raise DomainError(f"drift must not be subnormal, got {self.mu}")
         if not np.isfinite(self.x) or self.x <= 1.0:
             raise DomainError(f"start point must exceed 1, got {self.x}")
         if self.x - 1.0 < 0.05:
@@ -125,9 +122,9 @@ def h_mu_lambda(u, params: ModelParams):
 # ---------------------------------------------------------------------
 # discrete part
 
-def _discrete_terms(params: ModelParams,
-                    zeros: KZeroSet) -> Tuple[Tuple[complex, complex], ...]:
-    """Coefficient/rate pairs (A_i, z_i) of w1(v) = sum A_i e^{z_i v}.
+def _discrete_modes(params: ModelParams,
+                    zeros: KZeroSet) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients A_i and rates z_i of w1(v) = sum A_i e^{z_i v}.
 
     A_i = -(x^mu/lam) z_i e^{lam z_i} K_mu(x z_i) / K_{mu-1}(z_i).  For
     half-integer orders the K-ratio is taken through the reversed
@@ -161,7 +158,38 @@ def _discrete_terms(params: ModelParams,
             terms += [(a, z), (a.conjugate(), z.conjugate())]
     # keep the zero set's order, by real and then imaginary part
     terms.sort(key=lambda t: (t[1].real, t[1].imag))
-    return tuple(terms)
+    return (np.array([a for a, _ in terms], dtype=complex),
+            np.array([z for _, z in terms], dtype=complex))
+
+
+# ---------------------------------------------------------------------
+# closed forms per mode a e^{z v}, Re z < 0, for both parts' mode sets
+
+def _power_tail_weights(p: int, vcut: float) -> np.ndarray:
+    """c_r = p!/r! vcut^r, r = 0..p: for s > 0,
+    int_vcut^infty v^p e^{-s v} dv = e^{-s vcut} sum_r c_r s^{r-p-1}."""
+    return np.array([math.factorial(p) / math.factorial(r) * vcut ** r
+                     for r in range(p + 1)])
+
+
+def _modes_power_tail(amp, rate, p: int, vcut: float) -> float:
+    """sum over modes a e^{z v} of int_vcut^infty v^p a e^{z v} dv =
+    a e^{z vcut} sum_r p!/r! vcut^r (-z)^{r-p-1}, the inner sum by
+    Horner in -z; the real part."""
+    s = -rate
+    poly = 0.0
+    for c in _power_tail_weights(p, vcut)[::-1]:
+        poly = poly * s + c
+    return float(np.sum(amp * np.exp(rate * vcut) * poly
+                        * s ** (-p - 1.0)).real)
+
+
+def _modes_tail_laplace(amp, rate, r) -> np.ndarray:
+    """sum over modes a e^{z v} of a / (z (z - r)), at r > 0 of any
+    shape: the Laplace transform at r of each mode's tail mass
+    int_v^infty a e^{z s} ds = -a e^{z v} / z; the real part."""
+    rr = np.asarray(r, dtype=float)[..., None]
+    return (amp / (rate * (rate - rr))).sum(axis=-1).real
 
 
 # ---------------------------------------------------------------------
@@ -249,47 +277,50 @@ def _origin_coefs(mu: float, x: float,
 
 
 class _ContinuousKernel:
-    """Fixed-grid discretization of the continuous-part integrals.
+    """The continuous part as a mode set on a fixed u-grid plus its
+    origin piece.
 
-    Holds h on a shared composite Gauss-Legendre grid so that w2
-    values and tail moments of w2 become dot products with positive
-    terms (full relative accuracy, no cancellation), evaluated in
-    microseconds.
+    Holds amp_k = coef W_k h(u_k) u_k on a shared composite
+    Gauss-Legendre grid, so that w2 values and tail moments of w2 are
+    sums over the modes (amp_k, -u_k), each term of one sign (full
+    relative accuracy, no cancellation), and the small-u law of h below
+    the grid's first node u_lo for mu > 0.  At half-integer mu the set
+    is empty and has no origin law.
     """
 
     def __init__(self, params: ModelParams):
         mu, x = params.mu, params.x
-        self.mu = mu
-        self.x = x
+        self.mu, self.x = mu, x
         self.coef = -np.cos(np.pi * mu) * x ** mu / params.lam
-        if mu == 0.0:
-            # resolve the (log u)^{-2} origin behaviour: graded panels
-            # reach much deeper and log-spacing keeps the integrand
-            # polynomial-like per panel
-            low = geometric_edges(1e-60, 1.0, ratio=4.0)
-        else:
-            low = geometric_edges(_U_MIN, 1.0, ratio=2.0)
-        # h develops narrow resonance peaks above u ~ 1 as mu grows
-        # (near-zeros of the denominator shadowing the K_mu zeros), so
-        # the mid range gets fixed-width panels instead of octaves
-        high = np.arange(1.0, _U_MAX + 0.25, 0.5)
-        edges = np.concatenate([low, high[1:]])
-        extra = _resonance_refinement(mu)
-        if extra.size:
+        # the small-u law h = sum_k c_k u^{2 mu (k + 1)} for mu > 0; at
+        # mu = 0 _h_small_end takes the log law instead.  At half-integer
+        # mu, cos(pi mu) = 0: no nodes and no origin law
+        self.origin_coefs, self.origin_cut = np.empty(0), 0.0
+        self.u_lo, self.u, wts = 1.0, np.empty(0), np.empty(0)
+        if not is_half_integer(mu):
+            if mu == 0.0:
+                # resolve the (log u)^{-2} origin behaviour: graded panels
+                # reach much deeper and log-spacing keeps the integrand
+                # polynomial-like per panel
+                low = geometric_edges(1e-60, 1.0, ratio=4.0)
+            else:
+                low = geometric_edges(_U_MIN, 1.0, ratio=2.0)
+            # h develops narrow resonance peaks above u ~ 1 as mu grows
+            # (near-zeros of the denominator shadowing the K_mu zeros), so
+            # the mid range gets fixed-width panels instead of octaves
+            high = np.arange(1.0, _U_MAX + 0.25, 0.5)
+            edges = np.concatenate([low, high[1:]])
+            extra = _resonance_refinement(mu)
             extra = extra[(extra > edges[0]) & (extra < edges[-1])]
             edges = np.unique(np.concatenate([edges, extra]))
-        self.u_lo = edges[0]
-        self.u, self.wts = gauss_legendre_panels(edges, _PANEL_PTS)
-        self.h = _h_values(mu, x, self.u)
-        if mu > 0.0:
-            self.origin_coefs, self.origin_cut = _origin_coefs(mu, x,
-                                                               self.u_lo)
-            self.origin_steps = 2.0 * mu * np.arange(self.origin_coefs.size)
-            # h >= 0, so the origin piece of w2 is largest at v = 0
-            self.w2_origin_max = abs(self.coef * self._origin(2.0 * mu + 2.0,
-                                                              0.0)[0, 0])
-        # w2(v) = sum_k amp_k e^{-v u_k}
-        self.amp = self.coef * self.wts * self.h * self.u
+            self.u_lo = edges[0]
+            self.u, wts = gauss_legendre_panels(edges, _PANEL_PTS)
+            if mu > 0.0:
+                self.origin_coefs, self.origin_cut = _origin_coefs(
+                    mu, x, self.u_lo)
+        self.origin_steps = 2.0 * mu * np.arange(self.origin_coefs.size)
+        # w2(v) = sum_k amp_k e^{-v u_k} + the origin piece
+        self.amp = self.coef * wts * _h_values(mu, x, self.u) * self.u
         # the erfcx product runs over the live nodes: each end of the grid
         # drops its longest run of nodes holding at most 1e-20 of sum |amp|
         # (drop_lo the mass dropped at small u)
@@ -345,18 +376,14 @@ class _ContinuousKernel:
         return u, amp, 0.0
 
     def w2(self, v) -> np.ndarray:
-        """w2 on an array of v >= 0: the grid sum plus the origin piece
+        """w2 on an array of v >= 0: the mode sum plus the origin piece
         coef int_0^{u_lo} h(u) u e^{-u v} du, which carries w2 once v
         passes 1/u_lo."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.exp(-v[:, None] * self.u[None, :]) @ self.amp
         if self.mu == 0.0:
             self._check_log_reach(np.max(v, initial=0.0))
-            return out
-        # an origin piece under 2^-55 of the grid sum cannot change a bit
-        if np.all(np.abs(out) > 2.0 ** 55 * self.w2_origin_max):
-            return out
-        return out + self.coef * self._origin(2.0 * self.mu + 2.0, v)[:, 0]
+        return (np.exp(-v[:, None] * self.u[None, :]) @ self.amp
+                + self.coef * self._origin(2.0 * self.mu + 2.0, v)[:, 0])
 
     def _check_log_reach(self, v: float):
         if self.u_lo * v > _LOG_ORIGIN_REACH:
@@ -366,21 +393,26 @@ class _ContinuousKernel:
 
     def _origin(self, a, v) -> np.ndarray:
         """int_0^{u_lo} h(u) u^{a - 2 mu - 1} e^{-u v} du for an array of
-        v >= 0 (rows) and of a (columns), for mu > 0: the small-u law of
-        h integrates term by term
-        to c_k v^{-b} gamma(b, u_lo v), b = a + 2 mu k, taken while
-        z = u_lo v < 1 through its all-positive series c_k u_lo^b / b
-        e^{-z} sum_n z^n / ((b + 1) ... (b + n)), exact at v = 0."""
+        v >= 0 (rows) and of a (columns) by the small-u law of h (0 where
+        there is none): term by term c_k v^{-b} gamma(b, u_lo v),
+        b = a + 2 mu k, taken while z = u_lo v < 1 through its
+        all-positive series c_k u_lo^b / b e^{-z} sum_n z^n / ((b + 1)
+        ... (b + n)), exact at v = 0.  A term with b <= 0 diverges at 0:
+        DomainError."""
         eps = self.u_lo
         v = np.reshape(v, (-1, 1, 1))
         b = np.reshape(a, (-1, 1)) + self.origin_steps
+        bmin = float(b.min(initial=np.inf))
+        if bmin <= 0.0:
+            raise DomainError(f"v^p w is not integrable for mu = {self.mu} "
+                              f"(needs p < 2 mu + 1)")
         z = eps * v
         near = z < 1.0
         all_near = near.all()
         zn = z if all_near else np.where(near, z, 0.0)
         # the series is >= 1, so once this bound on every term falls to
         # 1e-17 each term is at most 1e-17 of its series
-        zmax, bmin, bound, n_terms = float(zn.max()), float(b.min()), 1.0, 0
+        zmax, bound, n_terms = float(zn.max(initial=0.0)), 1.0, 0
         while bound > 1e-17:
             n_terms += 1
             bound *= zmax / (bmin + n_terms)
@@ -407,10 +439,6 @@ class _ContinuousKernel:
         """
         mu, x, eps = self.mu, self.x, self.u_lo
         if mu > 0.0:
-            if 2.0 * mu - p + 1.0 <= 0.0:
-                raise DomainError(
-                    f"v^{p} w is not integrable for mu = {mu} (needs "
-                    f"p < 2 mu + 1)")
             return self._origin([2.0 * mu + (r - p) + 1.0
                                  for r in range(p + 1)], vcut)[0]
         self._check_log_reach(vcut)
@@ -419,31 +447,20 @@ class _ContinuousKernel:
             raise DomainError(
                 f"v^{p} w is not integrable for mu = 0 (needs p <= 1)")
         ell = math.log(2.0 / eps) - np.euler_gamma
-        power_end = math.log(x) * eps / (ell ** 2 + math.pi ** 2)
-        if p == 0:
-            return np.array([power_end])
         log_end = (math.log(x) / math.pi) * (math.pi / 2.0
                                              - math.atan(ell / math.pi))
-        return np.array([log_end, power_end])
+        power_end = math.log(x) * eps / (ell ** 2 + math.pi ** 2)
+        return np.array([log_end, power_end][1 - p:])
 
     def w2_tail_power_moment(self, p: int, vcut: float) -> float:
-        """integral of v^p w2(v) dv over [vcut, infinity), exactly.
-
-        Integrating e^{-u v} v^p over [vcut, infinity) first leaves
-        e^{-u vcut} sum_r p!/r! vcut^r u^{r-p-1} under the u-integral,
-        an all-positive sum.
+        """integral of v^p w2(v) dv over [vcut, infinity), exactly: the
+        modes' closed form plus the origin piece, whose u-integrand
+        e^{-u vcut} sum_r p!/r! vcut^r u^{r-p-1} h(u) u is all-positive.
         """
-        u, h, wts = self.u, self.h, self.wts
-        weights = np.array([math.factorial(p) / math.factorial(r) * vcut ** r
-                            for r in range(p + 1)])
-        poly = weights[p]
-        for r in range(p - 1, -1, -1):
-            poly = poly * u + weights[r]
-        inner = poly * u ** (-p - 1) * np.exp(-u * vcut)
-        small = weights @ self._h_small_end(p, vcut)
-        value = float(self.coef * (wts @ (h * u * inner))
-                      + self.coef * small)
-        if self.mu > 0.0:
+        weights = _power_tail_weights(p, vcut)
+        value = (_modes_power_tail(self.amp, -self.u, p, vcut)
+                 + float(self.coef * (weights @ self._h_small_end(p, vcut))))
+        if self.origin_cut > 0.0:
             # the terms the small-u law leaves out move the piece below
             # u_lo of each u^{r-p} term by at most B u_lo^a / (a + 2 mu K)
             a = 2.0 * self.mu + 1.0 + np.arange(p + 1.0) - p
@@ -455,95 +472,85 @@ class _ContinuousKernel:
                     f"moment may be off by {cut:.2g}", value, cut)
         return value
 
+    def tail_laplace_transform(self, r) -> np.ndarray:
+        """int_0^infty e^{-r v} int_v^infty w2 dv for r > 0 (any shape):
+        the modes' closed form plus the origin piece, termwise
+        c_k u_lo^b / (b r) 2F1(1, b; b + 1; -u_lo / r) with
+        b = 2 mu (k + 1) + 1."""
+        rr = np.asarray(r, dtype=float)[..., None]
+        b = 2.0 * self.mu + 1.0 + self.origin_steps
+        return (_modes_tail_laplace(self.amp, -self.u, r)
+                + self.coef * (self.origin_coefs * self.u_lo ** b / (b * rr)
+                               * sp.hyp2f1(1.0, b, b + 1.0, -self.u_lo / rr)
+                               ).sum(axis=-1))
+
 
 # ---------------------------------------------------------------------
 # assembled representation
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal and hashed by identity
 class WLambdaRep:
-    """Assembled kernel: discrete terms and the continuous-part grid.
+    """Assembled kernel: the discrete modes (amp_i, rate_i) = (A_i, z_i)
+    and the continuous part's mode set with its origin piece.
 
     ``eval`` is exact to the working accuracy of the u-grid at every
     v >= 0: the discrete part is summed directly and the continuous
-    part is the grid dot product plus its exact origin piece.
+    part is the grid's mode sum plus its exact origin piece.
     """
 
     params: ModelParams
-    discrete_terms: Tuple[Tuple[complex, complex], ...]
-    _kernel: Optional[_ContinuousKernel] = field(repr=False, default=None)
-
-    @property
-    def has_continuous(self) -> bool:
-        return self._kernel is not None
+    amp: np.ndarray
+    rate: np.ndarray
+    _kernel: _ContinuousKernel = field(repr=False)
 
     def w1(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         acc = np.zeros(v.shape, dtype=complex)
-        for a, z in self.discrete_terms:
+        for a, z in zip(self.amp, self.rate):
             acc += a * np.exp(z * v)
         return acc.real
 
     def w2_exact(self, v) -> np.ndarray:
         """Continuous part on an array of v, at quadrature-grid accuracy."""
-        v = np.asarray(v, dtype=float)
-        if not self.has_continuous:
-            return np.zeros(v.shape)
-        return self._kernel.w2(v).reshape(v.shape)
+        return self._kernel.w2(v).reshape(np.shape(v))
 
-    def exp_weighted_integral(self, ts) -> np.ndarray:
-        """S(t) = int_0^infty e^{-kappa/4t} w(v) dv for an array of t > 0.
+    def exp_weighted_integral(self, ts) -> Tuple[np.ndarray, np.ndarray]:
+        """(S, err) at a 1-d array of t > 0: S(t) = int_0^infty
+        e^{-kappa/4t} w(v) dv, kappa = v (2 lam + v), and a bound on its
+        error.
 
-        kappa = v (2 lam + v).  Completing the square in v turns each
-        exponential mode of w1 into a Faddeeva value and the continuous
-        part into a dot product of erfcx over the kernel's short rule in
-        log u; both stay bounded, so S is evaluated without overflow at
-        any t.  The product runs in blocks of 65536 entries.  The rule
-        is off the product over the grid's live nodes by up to
-        :attr:`exp_weighted_deviation` of that part (its largest
-        deviation at 40 t, measured when it was built); the nodes cut
-        above the live range change it by at most 1e-20 relative, and
-        :meth:`exp_weighted_cut` bounds those cut below.
+        Completing the square in v turns each discrete mode into a
+        Faddeeva value and the continuous part into a dot product of
+        erfcx over the kernel's short rule in log u; both stay bounded,
+        so S is evaluated without overflow at any t.  The rule is off
+        the product over the grid's live nodes by up to its deviation
+        dev relative to the whole continuous part, measured at 40 t when
+        it was built.  The nodes cut above the live range change that
+        product by at most 1e-20 relative; those cut below add at most
+        cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L their |amp|
+        mass.  err = cut + dev |S|.
         """
         ts = np.asarray(ts, dtype=float)
         lam = self.params.lam
         sq = np.sqrt(ts)
         out = np.zeros_like(ts)
-        for a, z in self.discrete_terms:
+        for a, z in zip(self.amp, self.rate):
             # int_0^inf e^{z v} e^{-kappa/4t} dv
             #   = sqrt(pi t) e^{c^2/4t} erfc(c / 2 sqrt t),  c = lam - 2 t z,
             # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
             c = lam - 2.0 * ts * z
             out += (a * sp.wofz(0.5j * c / sq)).real * (_SQRT_PI * sq)
-        if self.has_continuous:
-            # every term has the sign of coef (h >= 0, W_k > 0) and erfcx
-            # decreases on [0, inf), so the nodes dropped at large u add at
-            # most D_H / sum_kept |amp| <= 1e-20 of the kept sum at every t
-            u, amp, _ = self._kernel.rule
-            step = _BLOCK_ENTRIES // max(1, u.size)
-            buf = np.empty((min(step, ts.size), u.size))
-            for i in range(0, ts.size, step):
-                rows = slice(i, i + step)
-                b = buf[:sq[rows].size]
-                np.multiply(sq[rows, None], u, out=b)
-                b += 0.5 * lam / sq[rows, None]
-                sp.erfcx(b, out=b)
-                out[rows] += (_SQRT_PI * sq[rows]) * (b @ amp)
-        return out
-
-    @property
-    def exp_weighted_deviation(self) -> float:
-        """Largest relative deviation of the continuous part of
-        :meth:`exp_weighted_integral` from the product over the grid's
-        live nodes, measured when its rule was built (0 if none)."""
-        return self._kernel.rule[2] if self.has_continuous else 0.0
-
-    def exp_weighted_cut(self, ts) -> np.ndarray:
-        """Bound on the part of :meth:`exp_weighted_integral` at each t
-        that its product leaves out below the kernel grid's live range:
-        sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L the |amp| mass there."""
-        sq = np.sqrt(np.asarray(ts, dtype=float))
-        drop = self._kernel.drop_lo if self.has_continuous else 0.0
-        return _SQRT_PI * sq * drop * sp.erfcx(0.5 * self.params.lam / sq)
+        # every term has the sign of coef (h >= 0, W_k > 0) and erfcx
+        # decreases on [0, inf), so the nodes dropped at large u add at
+        # most D_H / sum_kept |amp| <= 1e-20 of the kept sum at every t
+        kern = self._kernel
+        u, amp, dev = kern.rule
+        # in place: fresh temporaries here take up to 1.8x the time
+        b = sq[:, None] * u
+        b += 0.5 * lam / sq[:, None]
+        out += (_SQRT_PI * sq) * (sp.erfcx(b, out=b) @ amp)
+        cut = _SQRT_PI * sq * kern.drop_lo * sp.erfcx(0.5 * lam / sq)
+        return out, cut + dev * np.abs(out)
 
     def tail_laplace_transform(self, r) -> np.ndarray:
         """int_0^infty e^{-r v} W(v) dv for r > 0 (any shape), with
@@ -551,25 +558,11 @@ class WLambdaRep:
 
         Equals (int w dv - w_hat(r)) / r, w_hat the Laplace transform of
         w, without that difference's cancellation as r -> 0: a mode
-        A e^{z v} of w1 gives A / (z (z - r)), w2 the grid sum
-        coef int h(u) / (u + r) du plus, for mu > 0, its piece below
-        u_lo from the small-u law of h, termwise c_k u_lo^b / (b r)
-        2F1(1, b; b + 1; -u_lo / r) with b = 2 mu (k + 1) + 1.
+        a e^{z v} gives a / (z (z - r)), and the continuous part's
+        origin piece adds its own closed form.
         """
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        for a, z in self.discrete_terms:
-            out += (a / (z * (z - r))).real
-        kern, rr = self._kernel, r[..., None]
-        if kern is None:
-            return out
-        out += (1.0 / (rr + kern.u)) @ (kern.amp / kern.u)
-        if kern.mu > 0.0:
-            b = 2.0 * kern.mu + 1.0 + kern.origin_steps
-            out += kern.coef * (kern.origin_coefs * kern.u_lo ** b / (b * rr)
-                                * sp.hyp2f1(1.0, b, b + 1.0, -kern.u_lo / rr)
-                                ).sum(axis=-1)
-        return out
+        return (_modes_tail_laplace(self.amp, self.rate, r)
+                + self._kernel.tail_laplace_transform(r))
 
     def eval(self, v):
         """Kernel value w(v) = w1(v) + w2(v) for any v >= 0.
@@ -587,28 +580,22 @@ def build_w(params: ModelParams) -> WLambdaRep:
     """Construct the kernel representation for 0 <= mu <= 10.
 
     Half-integer drifts produce a purely discrete kernel (possibly
-    empty: identically zero for mu = 1/2); otherwise the continuous
-    part is discretized on the shared u-grid.
+    empty: identically zero for mu = 1/2), whose continuous mode set is
+    empty; otherwise the continuous part is discretized on the shared
+    u-grid.
     """
-    kernel = None if is_half_integer(params.mu) else _ContinuousKernel(params)
-    return WLambdaRep(params=params, _kernel=kernel,
-                      discrete_terms=_discrete_terms(params,
-                                                     k_zero_set(params.mu)))
+    amp, rate = _discrete_modes(params, k_zero_set(params.mu))
+    return WLambdaRep(params=params, amp=amp, rate=rate,
+                      _kernel=_ContinuousKernel(params))
 
 
 # ---------------------------------------------------------------------
 # moments
 
-def _w1_power_moment(terms, p: int, vcut: float) -> float:
-    """integral of v^p w1(v) dv over [vcut, infinity), exactly."""
-    acc = 0.0 + 0.0j
-    for a, z in terms:
-        inner = sum(
-            math.factorial(p) / math.factorial(r)
-            * vcut ** r * (-z) ** (r - p - 1)
-            for r in range(p + 1))
-        acc += a * np.exp(z * vcut) * inner
-    return float(acc.real)
+def _power_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
+    """integral of v^p w(v) dv over [vcut, infinity), exactly."""
+    return (_modes_power_tail(rep.amp, rep.rate, p, vcut)
+            + rep._kernel.w2_tail_power_moment(p, vcut))
 
 
 def w_moment(rep: WLambdaRep, m: int) -> float:
@@ -640,13 +627,8 @@ def w_kappa_moment_tail(rep: WLambdaRep, m: int, vcut: float) -> float:
         raise DomainError(
             f"kappa^{m} w is not integrable for mu = {mu} (needs "
             f"mu + 1/2 >= {m})")
-    val = 0.0
-    for j in range(m + 1):
-        part = _w1_power_moment(rep.discrete_terms, m + j, vcut)
-        if rep.has_continuous:
-            part += rep._kernel.w2_tail_power_moment(m + j, vcut)
-        val += math.comb(m, j) * (2.0 * lam) ** (m - j) * part
-    return val
+    return sum(math.comb(m, j) * (2.0 * lam) ** (m - j)
+               * _power_tail(rep, m + j, vcut) for j in range(m + 1))
 
 
 def w_power_moment_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
@@ -663,8 +645,4 @@ def w_power_moment_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
         raise DomainError("vcut must be >= 0")
     if p < 0 or p != int(p):
         raise DomainError("power must be a nonnegative integer")
-    p = int(p)
-    val = _w1_power_moment(rep.discrete_terms, p, vcut)
-    if rep.has_continuous:
-        val += rep._kernel.w2_tail_power_moment(p, vcut)
-    return val
+    return _power_tail(rep, int(p), vcut)

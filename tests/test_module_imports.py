@@ -6,8 +6,9 @@ Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
 Two ways in are checked: importing a private name, and reading a
 private attribute of an object the module got from elsewhere.  The
-other way round, a public function that neither a sibling module nor a
-test names is dead surface.
+other way round, a public function, or a public method or property of a
+public class, that neither a sibling module nor a test names is dead
+surface.
 """
 
 import ast
@@ -87,19 +88,31 @@ def names_used(source: str):
     return found
 
 
+def _public_surface(tree):
+    """(name, label) for each public top-level function and each public
+    method or property of a public top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
 def unreferenced_public_functions(modules: dict, others: dict):
-    """(module, name) for each public top-level function of a module
-    in modules that no other source in modules or others names."""
+    """(module, label) for each public top-level function, and each
+    public method or property of a public class ("Class.name"), of a
+    module in modules that no other source in modules or others names."""
     used = {key: names_used(src) for key, src in {**modules,
                                                   **others}.items()}
     found = []
     for key, src in modules.items():
-        for node in ast.parse(src).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")
-                    and not any(node.name in names for other, names
-                                in used.items() if other != key)):
-                found.append((key, node.name))
+        for name, label in _public_surface(ast.parse(src)):
+            if not any(name in names for other, names in used.items()
+                       if other != key):
+                found.append((key, label))
     return sorted(found)
 
 
@@ -142,6 +155,21 @@ def test_rule_catches_unreferenced_public_functions():
                             "    a.attribute(a.tested)\n")}
     assert unreferenced_public_functions(modules, others) == [
         ("a.py", "lonely"), ("b.py", "helper")]
+
+
+def test_rule_catches_unreferenced_public_methods():
+    modules = {"a.py": ("class Rep:\n"
+                        "    def __init__(self): self.cut()\n"
+                        "    def used(self): pass\n"
+                        "    @property\n"
+                        "    def cut(self): return self.lonely()\n"
+                        "    def lonely(self): pass\n"
+                        "    def _own(self): pass\n"
+                        "class _Hidden:\n"
+                        "    def anything(self): pass\n")}
+    others = {"test_a.py": "def test_it(rep):\n    rep.used()\n"}
+    assert unreferenced_public_functions(modules, others) == [
+        ("a.py", "Rep.cut"), ("a.py", "Rep.lonely")]
 
 
 def test_no_unreferenced_public_functions():

@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sp
 
 from gbm_hitfun.errors import DomainError
@@ -117,6 +118,15 @@ def test_params_validation():
     with pytest.raises(DomainError):
         ModelParams(1.0, 0.5)
     assert ModelParams(1.0, 2.5).lam == 1.5
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-310])
+def test_params_reject_subnormal_drift(mu):
+    # 1 - x^{-2 mu} rounds to 0 there and h turns to 0/0; the smallest
+    # normal drift is accepted
+    with pytest.raises(DomainError):
+        ModelParams(mu, 2.0)
+    assert ModelParams(np.finfo(float).tiny, 2.0).mu > 0.0
 
 
 def test_params_warns_near_level():
@@ -220,9 +230,8 @@ def test_w1_polynomial_decay():
 
 def test_discrete_terms_conjugate_pairs():
     rep = build_w(ModelParams(2.2, 1.5))
-    terms = rep.discrete_terms
-    assert len(terms) == 2
-    (a1, z1), (a2, z2) = terms
+    assert rep.amp.size == rep.rate.size == 2
+    (a1, a2), (z1, z2) = rep.amp, rep.rate
     assert z1 == z2.conjugate() and a1 == a2.conjugate()
     v = np.linspace(0.0, 30.0, 61)
     w1 = rep.w1(v)
@@ -310,16 +319,26 @@ def test_w2_tail_limit_mu_zero():
 
 def test_build_w_one_half_is_zero():
     rep = build_w(ModelParams(0.5, 2.0))
-    assert not rep.has_continuous and rep.discrete_terms == ()
+    assert rep._kernel.u.size == 0 and rep.amp.size == 0
     v = np.linspace(0.0, 100.0, 51)
     assert np.all(rep.eval(v) == 0.0)
 
 
 def test_build_w_structure_matches_drift_class():
-    # purely discrete exactly when mu - 1/2 is a nonnegative integer
-    assert not build_w(ModelParams(2.5, 2.0)).has_continuous
-    assert build_w(ModelParams(2.2, 2.0)).has_continuous
-    assert build_w(ModelParams(0.0, 2.0)).has_continuous
+    # purely discrete exactly when mu - 1/2 is a nonnegative integer:
+    # the continuous part's mode set is then empty, with no origin law
+    empty = build_w(ModelParams(2.5, 2.0))._kernel
+    assert empty.u.size == 0 and empty.origin_coefs.size == 0
+    assert build_w(ModelParams(2.2, 2.0))._kernel.u.size > 0
+    assert build_w(ModelParams(0.0, 2.0))._kernel.u.size > 0
+
+
+def test_rep_hashes_by_identity():
+    # the mode arrays cannot be hashed or compared as one truth value,
+    # so a representation (and an evaluator holding it) is keyed by
+    # identity
+    rep = build_w(ModelParams(2.2, 2.0))
+    assert {rep: 1}[rep] == 1 and rep == rep and rep != replace(rep)
 
 
 def test_build_w_five_halves_closed_form_sup():
@@ -364,14 +383,17 @@ def test_eval_interpolation_accuracy():
 
 @pytest.mark.parametrize("mu", [0.01, 0.3, 3.7])
 def test_w2_skips_only_an_origin_piece_below_roundoff(mu):
-    # where the origin piece cannot move a bit of the grid sum, w2 leaves
-    # it out; the result must equal the full sum exactly
+    # w2 adds the origin piece at every v; where it is under 2^-55 of the
+    # grid sum it cannot move a bit, and elsewhere it must be there
     kern = build_w(ModelParams(mu, 2.0))._kernel
     for hi in (1.0, 1e3, 1e6, 1e9, 1e12):
         v = np.geomspace(1e-3, hi, 200)
-        full = (np.exp(-v[:, None] * kern.u[None, :]) @ kern.amp
-                + kern.coef * kern._origin(2.0 * mu + 2.0, v)[:, 0])
-        assert np.array_equal(kern.w2(v), full)
+        grid = np.exp(-v[:, None] * kern.u[None, :]) @ kern.amp
+        origin = kern.coef * kern._origin(2.0 * mu + 2.0, v)[:, 0]
+        got = kern.w2(v)
+        assert np.array_equal(got, grid + origin)
+        small = np.abs(origin) < 2.0 ** -55 * np.abs(grid)
+        assert np.array_equal(got[small], grid[small])
 
 
 def test_eval_domain_and_shapes():
@@ -486,6 +508,29 @@ def test_power_moment_tail_difference_is_the_integral(p, lo, hi, rel):
     assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
+@pytest.mark.parametrize("mu", [0.3, 2.5, 7.0])
+@pytest.mark.parametrize("r", [0.3, 2.0, 10.0])
+def test_tail_laplace_transform_is_the_transform_of_the_tail_mass(mu, r):
+    # the two closed forms per mode, a / (z (z - r)) and the power-moment
+    # tail at p = 0, share only the kernel's modes; the tail mass
+    # W(v) = int_v^infty w is transformed here by adaptive quadrature
+    rep = build_w(ModelParams(mu, 2.0))
+    want = integrate.quad(
+        lambda v: math.exp(-r * v) * w_power_moment_tail(rep, 0, v),
+        0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert float(rep.tail_laplace_transform(r)) == pytest.approx(
+        want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("mu,want", [(1.5, 56.0), (2.5, -496.0)])
+def test_top_moment_of_a_purely_discrete_kernel(mu, want):
+    # at m = mu + 1/2 v^{2m} w2 would not be integrable, but the
+    # half-integer kernel's continuous part is empty: no origin law, so
+    # no DomainError, and the moment is the discrete modes' alone
+    rep = build_w(ModelParams(mu, 2.0))
+    assert w_moment(rep, int(mu + 0.5)) == pytest.approx(want, rel=1e-14)
+
+
 def test_kappa_moment_tail_domain():
     rep = build_w(ModelParams(2.2, 1.5))
     with pytest.raises(DomainError):
@@ -510,15 +555,11 @@ def test_laplace_transform_identity(mu, x):
     p = ModelParams(mu, x)
     rep = build_w(p)
     lam = p.lam
+    kern = rep._kernel
     for r in (0.1, 1.0, 5.0):
-        lhs = 0.0
-        for a, z in rep.discrete_terms:
-            lhs += (a / (r - z)).real
-        if rep.has_continuous:
-            kern = rep._kernel
-            lhs += kern.coef * np.dot(kern.wts * kern.h * kern.u,
-                                      1.0 / (kern.u + r))
-        lhs *= lam
+        # the Laplace transform of each mode a e^{z v} is a / (r - z)
+        lhs = lam * (np.sum(rep.amp / (r - rep.rate)).real
+                     + np.dot(kern.amp, 1.0 / (kern.u + r)))
         rhs = (r * x ** mu * sp.kve(mu, x * r) / sp.kve(mu, r)
                - x ** (mu - 0.5) * (r - (mu * mu - 0.25) * lam / (2.0 * x)))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
@@ -533,29 +574,32 @@ def test_laplace_transform_identity(mu, x):
 def test_exp_weighted_integral_matches_full_grid(mu, x):
     # the erfcx product runs over the kernel's short rule in log u, built
     # from the grid's live nodes; against the sum over every node it may
-    # be off by the bound on the nodes cut below the live range, 1e-20 of
-    # the sum for those cut above it, the rule's declared deviation and
-    # 8 ulp of the sum of |terms|
+    # be off by the error bound it returns (the bound on the nodes cut
+    # below the live range plus the rule's deviation times |S|), 1e-20
+    # of the sum for those cut above it and 8 ulp of the sum of |terms|
     lam = x - 1.0
-    rep = build_w(ModelParams(mu, x))
+    rep = replace(build_w(ModelParams(mu, x)), amp=np.empty(0),
+                  rate=np.empty(0))
     kern = rep._kernel
     mass = np.abs(kern.amp)
     assert mass[kern.live.stop:].sum() <= 1e-20 * mass[kern.live].sum()
-    dev = rep.exp_weighted_deviation
     assert kern.rule[0].size <= 128
-    assert dev <= 1e-14
+    assert kern.rule[2] <= 1e-14
     # t up to the density's switch time 1e3 max(1, lam^2)
     ts = np.geomspace(1e-3, 1e3 * max(1.0, lam * lam), 200)
     sq = np.sqrt(ts)[:, None]
     erfcx = sp.erfcx(0.5 * lam / sq + kern.u * sq)
     full = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ kern.amp)
     size = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ mass)
-    cut = rep.exp_weighted_cut(ts)
+    got, err = rep.exp_weighted_integral(ts)
+    # err covers sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L the |amp| mass
+    # cut below the live range, which bounds those nodes' part
+    cut = (math.sqrt(math.pi) * sq[:, 0] * kern.drop_lo
+           * sp.erfcx(0.5 * lam / sq[:, 0]))
     below = math.sqrt(math.pi) * sq[:, 0] * np.abs(
         erfcx[:, :kern.live.start] @ kern.amp[:kern.live.start])
-    assert np.all(below <= cut)
-    got = replace(rep, discrete_terms=()).exp_weighted_integral(ts)
-    bound = cut + (dev + 1e-20 + 8.0 * np.finfo(float).eps) * size
+    assert np.all(below <= cut) and np.all(cut <= err)
+    bound = err + (1e-20 + 8.0 * np.finfo(float).eps) * size
     assert np.all(np.abs(got - full) <= bound)
 
 
@@ -563,10 +607,11 @@ def test_exp_weighted_integral_matches_full_grid(mu, x):
 @pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
 def test_exp_weighted_integral_dense_in_t(mu, x):
     # the rule's deviation is measured at 40 t; between them, and down
-    # to t = 1e-6, it must hold against an extended-precision sum over
-    # every node of the grid
+    # to t = 1e-6, the returned bound must hold against an
+    # extended-precision sum over every node of the grid
     lam = x - 1.0
-    rep = build_w(ModelParams(mu, x))
+    rep = replace(build_w(ModelParams(mu, x)), amp=np.empty(0),
+                  rate=np.empty(0))
     kern = rep._kernel
     ts = np.geomspace(1e-6, 1e3 * max(1.0, lam * lam), 2000)
     sq = np.sqrt(ts)[:, None]
@@ -574,19 +619,26 @@ def test_exp_weighted_integral_dense_in_t(mu, x):
     full = (math.sqrt(math.pi) * sq[:, 0].astype(np.longdouble)
             * (erfcx.astype(np.longdouble) * kern.amp).sum(axis=1))
     size = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ np.abs(kern.amp))
-    got = replace(rep, discrete_terms=()).exp_weighted_integral(ts)
-    bound = rep.exp_weighted_cut(ts) + (rep.exp_weighted_deviation + 1e-20
-                                        + 8.0 * np.finfo(float).eps) * size
+    got, err = rep.exp_weighted_integral(ts)
+    bound = err + (1e-20 + 8.0 * np.finfo(float).eps) * size
     assert np.all(np.abs(got - full).astype(float) <= bound)
 
 
 def test_exp_weighted_integral_with_an_empty_live_range():
-    # at mu = 5e-324, 1 - x^{-2 mu} rounds to 0 and h carries no mass, so
-    # the live range is empty; the rule keeps it, with deviation 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rep = build_w(ModelParams(5e-324, 2.0))
+    # at a half-integer drift the continuous part is an empty mode set:
+    # its live range and rule are empty, with deviation 0, and S is the
+    # discrete part alone, with a zero error bound
+    rep = build_w(ModelParams(2.5, 2.0))
     kern = rep._kernel
     assert kern.live.start >= kern.live.stop
-    assert kern.rule[0].size == 0 and rep.exp_weighted_deviation == 0.0
+    assert kern.rule[0].size == 0 and kern.rule[2] == 0.0
     ts = np.geomspace(1e-2, 1e3, 50)
-    assert np.array_equal(rep.exp_weighted_integral(ts), np.zeros(50))
+    got, err = rep.exp_weighted_integral(ts)
+    assert np.array_equal(err, np.zeros(50))
+    empty = replace(rep, amp=np.empty(0), rate=np.empty(0))
+    assert np.array_equal(empty.exp_weighted_integral(ts)[0], np.zeros(50))
+    # the discrete part alone, mode by mode: sqrt(pi t) Re(A w(i c/2 sqrt t))
+    sq = np.sqrt(ts)
+    want = sum((a * sp.wofz(0.5j * (1.0 - 2.0 * ts * z) / sq)).real
+               * (math.sqrt(math.pi) * sq) for a, z in zip(rep.amp, rep.rate))
+    assert np.array_equal(got, want)
