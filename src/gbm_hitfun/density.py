@@ -5,14 +5,14 @@ hitting time of level 1, the functional A(tau) = int_0^tau X^2(s) ds
 has a density q(t) on (0, infinity) of the form
 
     q(t) = lam e^{-lam^2/4t} / sqrt(pi t) * J(t),
-    J(t) = [x^{mu-1/2}/(2t), mu <= 1/2] + int_0^infty w(v) E_l(kappa/4t) dv,
+    J(t) = [x^{mu-1/2}/(2t), l = 0] + int_0^infty w(v) E_l(kappa/4t) dv,
 
 with the kernel w from :mod:`.weight`, kappa = v (2 lam + v) and E_l(s)
-the exponential e^{-s} minus its Taylor polynomial through degree l.
-Every kernel integral of this kind, here and in :mod:`.poisson`, takes
-a function minus its Taylor polynomial from :func:`taylor_remainder`;
-:func:`table_integral` integrates such a remainder against w on a
-fixed v-table.  This module evaluates q by two routes:
+the exponential e^{-s} minus its Taylor polynomial through degree
+l = l_terms, which alone decides the lead term.  Every kernel integral
+here and in :mod:`.poisson`, survival's too, is a function minus its
+Taylor polynomial from :func:`taylor_remainder`; :func:`table_integral`
+integrates one against w on a fixed v-table.  q takes two routes:
 
 * the direct route, for t up to t_switch: the polynomial part of E_l
   integrates to closed kernel moments and the e^{-kappa/4t} part, after
@@ -33,13 +33,13 @@ fixed v-table.  This module evaluates q by two routes:
   adaptive quadrature of J to 1e-10 for mu < 9.5.
 
 Also here, each with one route: total mass from the kernel's first
-power moment and survival from the exact swap of the t-integral (one
-adaptive v-quadrature completed by kernel moment tails); the Laplace
-transform of q in closed Bessel form, and by the exact swap of its
-t-integral (a sum over the kernel representation) as the consistency
-check against it; the closed t -> infinity tail constant, the scaling
-relation for hitting a general level, and the density of the unstopped
-limit functional.  No t-integral of q is taken numerically.
+power moment; survival by the exact swap of the t-integral (one
+adaptive v-quadrature of a remainder in kappa/4T, completed by kernel
+moment tails); the Laplace transform of q in closed Bessel form, and by
+the exact swap of its t-integral as the consistency check against it;
+the closed t -> infinity tail constant, the scaling relation for
+hitting a general level, and the density of the unstopped limit
+functional.  No t-integral of q is taken numerically.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     """Direct-route density plus its relative roundoff estimate.
 
     J(t) = x^{mu-1/2}/(2t) - M0 + S(t) with the exact moment
-    M0 = x^{mu-1/2}(mu^2 - 1/4)/(2x); for mu <= 1/2 this is the plain
-    representation, for mu > 1/2 it is the subtracted representation
+    M0 = x^{mu-1/2}(mu^2 - 1/4)/(2x); for l = 0 this is the plain
+    representation, for l >= 1 it is the subtracted representation
     with the closed first-moment identity substituted in.  The three
     pieces cancel as t grows, which the loss estimate tracks: 2.3e-16 of
     the largest piece plus the error bound that comes with S (see
@@ -272,7 +272,7 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
 
     J(t) is :func:`table_integral` of E_l = taylor_remainder of e^{-s}
     at sigma = 4t over the evaluator's v-grid, plus x^{mu-1/2}/(2t) for
-    mu <= 1/2.  Past the grid's top e^{-s} is dropped, so a t with
+    l = 0.  Past the grid's top e^{-s} is dropped, so a t with
     kappa/4t < _POLY_S at the top gets k ratio-2 panels past it, k the
     fewest that reach _POLY_S, and its tails move to the new top; k
     depends on that t alone, so a value does not depend on the others.
@@ -288,7 +288,7 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
             ev.extended_table(int(k)), 4.0 * ts[rows],
             lambda s: np.expm1(-s), _EXP_COEFS, lambda j: 0.5 * (j + 1.0),
             ev.l_terms)[0]
-    if mu <= 0.5:
+    if ev.l_terms == 0:
         j_val += x ** (mu - 0.5) / (2.0 * ts)
     return _prefactor(lam, ts) * j_val
 
@@ -304,7 +304,9 @@ def q_density(ev: DensityEvaluator, t):
     up to about 2e99 at x = 2, then DomainError), and the table route
     agrees with adaptive quadrature of J to 1e-10 relative for mu < 9.5.
     End to end the direct route is up to 5.1e-10 off Talbot inversion,
-    at (mu, x, t) = (3.7, 2, 4.508), where its loss estimate reads 3e-11.
+    at (mu, x, t) = (3.7, 2, 4.508), where its loss estimate reads 3e-11;
+    just above an even half-integer (1/2, 5/2, ...) the kernel itself
+    is off, by 2.1e-4 at (9/2 + 2e-12, 2, 1e5) (1.5e-6 at 9/2 + 1e-10).
     Nonnegative up to roundoff, integrates to one, and its Laplace
     transform matches :func:`laplace_ratio`.
     """
@@ -400,74 +402,33 @@ def total_mass(ev: DensityEvaluator) -> float:
     return p.x ** (p.mu - 0.5) - p.lam * v1
 
 
-def _survival_coef(j: int, lam: float, z0: float) -> float:
-    """Coefficient c_j of kappa^j in the t-integral of the j-th term of
-    the subtracted exponential, z0 = lam^2/4T:
+def _survival_remainder(z0: float):
+    """R(s) = int_0^1 r^{-3/2} e^{-z0 r} (e^{-s r} - 1) dr / 2 in closed
+    form and its Taylor coefficients (-1)^j gamma(j-1/2, z0) z0^{1/2-j}
+    / (2 j!), j < 128, the incomplete gamma by Kummer's function so that
+    none overflows or underflows as z0 = lam^2/4T falls."""
+    j = np.arange(128.0)
+    coefs = ((-1.0) ** j * sp.hyp1f1(j - 0.5, j + 0.5, -z0) / (j - 0.5)
+             / (2.0 * sp.factorial(j)))
+    rz0 = math.sqrt(z0)
 
-        c_j = (-1)^{j+1}/(j! 4^j) (4/lam^2)^{j-1/2} Gamma(j-1/2)
-              P(j-1/2, z0),
+    def closed(s):
+        rz = np.sqrt(z0 + s)
+        return (-math.exp(-z0) * np.expm1(-s)
+                - _SQRT_PI * (rz * sp.erf(rz) - rz0 * math.erf(rz0)))
 
-    with P the regularized lower incomplete gamma.
-    """
-    return ((-1) ** (j + 1) / math.factorial(j) / 4.0 ** j
-            * (4.0 / (lam * lam)) ** (j - 0.5)
-            * gamma_fn(j - 0.5) * sp.gammainc(j - 0.5, z0))
-
-
-def _survival_kernel(ev: DensityEvaluator, v: np.ndarray,
-                     big_t: float) -> np.ndarray:
-    """G(v) = int_T^infty t^{-1/2} e^{-lam^2/4t} E_l(kappa/4t) dt.
-
-    Closed form through erf and the polynomial sum_{j <= l} c_j kappa^j;
-    for kappa << T the alternating remainder -sum_{j > l} c_j kappa^j
-    is used instead, because there the closed pieces cancel to the
-    first surviving term.
-    """
-    p = ev.params
-    lam = p.lam
-    l = ev.l_terms
-    v = np.asarray(v, dtype=float)
-    sq = math.sqrt(big_t)
-    z0 = lam * lam / (4.0 * big_t)
-    kap = v * (2.0 * lam + v)
-    out = np.empty_like(v)
-
-    # 0.4 T stays while perfbench pins its loss; kappa <= 2(l+1) T mends it
-    series = kap <= 0.4 * big_t
-    if series.any():
-        ks = kap[series]
-        acc = np.zeros_like(ks)
-        for j in range(l + 1, l + 60):
-            term = -_survival_coef(j, lam, z0) * ks ** j
-            acc += term
-            if np.all(np.abs(term) <= 1e-17 * np.abs(acc) + 1e-320):
-                break
-        out[series] = acc
-
-    if (~series).any():
-        vb = v[~series]
-        kb = kap[~series]
-        e_diff = np.exp(-z0) - np.exp(-(lam + vb) ** 2 / (4.0 * big_t))
-        erf_part = ((lam + vb) * sp.erf((lam + vb) / (2.0 * sq))
-                    - lam * math.erf(lam / (2.0 * sq)))
-        g = 2.0 * sq * e_diff - _SQRT_PI * erf_part
-        for j in range(1, l + 1):
-            g += _survival_coef(j, lam, z0) * kb ** j
-        out[~series] = g
-    return out
+    return closed, coefs
 
 
 def survival(ev: DensityEvaluator, big_t: float) -> float:
     """P(A(tau) > T) = int_T^infty q dt, by the exact order swap.
 
-    The t-integral under the kernel integral has a closed form, so the
-    survival function needs only one v-quadrature up to ~12 sqrt(T)
-    plus exact kernel tail moments beyond.  The closed form takes over
-    from its remainder series at kappa = 0.4 T, where it still cancels
-    down to the first surviving term s^{l+1}/(l+1)!, s = kappa/4T.  So
-    at high drift the result loses digits: relative 7e-7 at
-    (mu, x, T) = (5.3, 2, 60), and wrong in sign or by orders of
-    magnitude at (9.3, 2) for T >= 60.
+    The t-integral under the kernel integral is 2 sqrt(T) R_l(kappa/4T),
+    :func:`taylor_remainder` of R from :func:`_survival_remainder`: one
+    v-quadrature up to ~12 sqrt(T) and exact kernel tail moments beyond.
+    From s = kappa/4T = 0.1 on, R_l still cancels to s^{l+1}/(l+1)!, so
+    at high drift digits are lost: relative 6.5e-8 at (mu, x, T) =
+    (5.3, 2, 60), 3.6e-7 at (7, 2, 5) and 3.1e-2 at (7, 2, 60).
     """
     if not np.isfinite(big_t) or big_t < 0.0:
         raise DomainError("survival defined for finite T >= 0")
@@ -478,16 +439,17 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
     l = ev.l_terms
     sq = math.sqrt(big_t)
     z0 = lam * lam / (4.0 * big_t)
-
-    acc = 0.0
-    if mu <= 0.5:
-        acc += (x ** (mu - 0.5) / lam) * _SQRT_PI * math.erf(lam / (2.0 * sq))
+    closed, coefs = _survival_remainder(z0)
+    lead = (x ** (mu - 0.5) / lam * _SQRT_PI * math.erf(lam / (2.0 * sq))
+            if l == 0 else 0.0)
 
     v_hi = 12.0 * sq + 50.0 * (1.0 + lam)
 
     def integrand(v):
-        v = np.asarray(v, dtype=float)
-        return ev.w.eval(v) * _survival_kernel(ev, v, big_t)
+        # s = 0.1 (kappa = 0.4 T) stays while perfbench pins its loss;
+        # s <= (l + 1)/2 mends it
+        return ev.w.eval(v) * 2.0 * sq * taylor_remainder(
+            closed, coefs, v * (2.0 * lam + v) / (4.0 * big_t), l, 0.1)
 
     splits = tuple(s for s in (min(1.0, lam), 1.0 + lam, 10.0 * (1.0 + lam),
                                0.5 * sq, sq, 3.0 * sq) if 0.0 < s < v_hi)
@@ -500,18 +462,17 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
                           max_subdivisions=768, split_points=splits)
     quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value
 
-    # beyond v_hi the Gaussian pieces are dead and erf is saturated:
-    # G(v) = a0 - sqrt(pi) v + the j >= 1 polynomial, all of whose
-    # kernel tail integrals are exact
+    # past v_hi erf is saturated and the Gaussians are dead, which leaves
+    # a0 - sqrt(pi) v - 2 sqrt(T) sum_{1 <= j <= l} c_j (kappa/4T)^j
     a0 = (2.0 * sq * math.exp(-z0)
           - _SQRT_PI * lam * math.erfc(lam / (2.0 * sq)))
     comp = (a0 * w_power_moment_tail(ev.w, 0, v_hi)
             - _SQRT_PI * w_power_moment_tail(ev.w, 1, v_hi))
     for j in range(1, l + 1):
-        comp += _survival_coef(j, lam, z0) * w_kappa_moment_tail(ev.w, j,
-                                                                  v_hi)
+        comp -= (2.0 * sq * coefs[j] / (4.0 * big_t) ** j
+                 * w_kappa_moment_tail(ev.w, j, v_hi))
 
-    return lam / _SQRT_PI * (acc + quad_part + comp)
+    return lam / _SQRT_PI * (lead + quad_part + comp)
 
 
 @dataclass(frozen=True)

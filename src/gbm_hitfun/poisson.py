@@ -104,8 +104,8 @@ def _binomial_coefs(m: float) -> np.ndarray:
 def _kernel_plane(p: PoissonParams) -> float:
     """The n = 2 kernel on the density evaluator's v-table.
 
-    Integrating out t leaves P = (lam / 2 pi) ([mu <= 1/2] 2 x^{mu-1/2}
-    / c0 - int w g_j(z) dv), g_j(z) = log(1+z) - sum_{i <= j}
+    Integrating out t leaves P = (lam / 2 pi) ([l = 0] 2 x^{mu-1/2} / c0
+    - int w g_j(z) dv), g_j(z) = log(1+z) - sum_{i <= j}
     (-1)^{i+1} z^i / i the Taylor remainder of log1p, exact for every
     min(1, l) <= j <= l = l_terms by the kernel moment identities.  The
     integral is :func:`table_integral` at sigma = c0, which picks j by
@@ -133,7 +133,7 @@ def _kernel_plane(p: PoissonParams) -> float:
         if abs(parts[-1].sum()) <= 1e-17 * scale:
             break
         top *= 256.0
-    lead = 2.0 * x ** (mu - 0.5) / c0 if mu <= 0.5 else 0.0
+    lead = 2.0 * x ** (mu - 0.5) / c0 if ev.l_terms == 0 else 0.0
     return lam / (2.0 * math.pi) * (lead - integral)
 
 
@@ -142,13 +142,13 @@ def kernel_closed(p: PoissonParams) -> float:
 
     Integrating out t in the subordination formula leaves, for n >= 3,
 
-        P = C lam c0^{-m} [ [mu < 1/2] (n-2) x^{mu-1/2} / c0
+        P = C lam c0^{-m} [ [l = 0] (n-2) x^{mu-1/2} / c0
                             + int w(v) R_j(z) dv ]
 
     with C = Gamma(n/2-1)/(2 pi^{n/2}), m = n/2 - 1, c0 = lam^2 +
     rho^2, z = v(2 lam + v)/c0 and R_j = (1+z)^{-m} minus its Taylor
-    polynomial through degree j = [mu > 1/2], by adaptive v-quadrature
-    up to a cut and exact kernel moment tails of that polynomial beyond.
+    polynomial through degree j = min(1, l_terms), by adaptive
+    v-quadrature up to a cut and exact kernel moment tails beyond.
     At n = 2 the prefactor degenerates; the m -> 0 limit of the bracket
     is a log, and :func:`_kernel_plane` sums it on the density
     evaluator's v-table.  The tests hold it within 1e-11 of a Fourier
@@ -168,7 +168,7 @@ def kernel_closed(p: PoissonParams) -> float:
     ev = cached_evaluator(mu, x)
     m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
-    j = int(mu > 0.5)
+    j = min(1, ev.l_terms)
     coefs = _binomial_coefs(m)
 
     def integrand(v):

@@ -1,6 +1,7 @@
 """Package layout rules: no module uses a private name of a sibling,
-no public function goes unused, and only the quadrature module names
-the semi-infinite adaptive engine.
+no public function goes unused, only the quadrature module names the
+semi-infinite adaptive engine, and no module tests the drift against
+1/2 to choose a representation.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
@@ -116,6 +117,25 @@ def unreferenced_public_functions(modules: dict, others: dict):
     return sorted(found)
 
 
+def _is_drift(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "mu")
+            or (isinstance(node, ast.Attribute) and node.attr == "mu"))
+
+
+def drift_half_comparisons(source: str):
+    """Line of each comparison between the drift (a name mu or an
+    attribute .mu) and the constant 0.5."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_drift, operands)) and any(
+                    isinstance(o, ast.Constant) and o.value == 0.5
+                    for o in operands):
+                found.append(node.lineno)
+    return sorted(found)
+
+
 def test_rule_catches_private_imports():
     src = ("from .density import q_density, _w_eval\n"
            "def f():\n"
@@ -172,6 +192,15 @@ def test_rule_catches_unreferenced_public_methods():
         ("a.py", "Rep.cut"), ("a.py", "Rep.lonely")]
 
 
+def test_rule_catches_drift_half_comparisons():
+    src = ("if mu <= 0.5:\n"
+           "    j = int(p.mu > 0.5)\n"
+           "k = 0.5 < ev.params.mu < 2.0\n"
+           "if abs(mu - 0.5) <= 1e-12 or mu + 0.5 < m or ev.l_terms == 0:\n"
+           "    k = nu <= 0.5 or mu == 1.5 or mu ** 0.5 > 1\n")
+    assert drift_half_comparisons(src) == [1, 2, 3]
+
+
 def test_no_unreferenced_public_functions():
     def sources(directory):
         return {str(p.relative_to(ROOT)): p.read_text()
@@ -200,5 +229,14 @@ def test_only_quadrature_names_the_semi_infinite_engine():
 
 def test_no_private_attribute_reads_between_modules():
     offenders = {path.name: private_attribute_reads(path.read_text())
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_only_l_terms_switches_the_representation():
+    # the lead term is there iff l_terms = 0, and l_terms is 0 within
+    # is_half_integer's tolerance of 1/2 on both sides, where a drift
+    # test against 1/2 picks the other representation
+    offenders = {path.name: drift_half_comparisons(path.read_text())
                  for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert {k: v for k, v in offenders.items() if v} == {}
