@@ -9,15 +9,14 @@ A(tau) of the height process:
     P_1(x, y) = (4 pi)^{-(n-1)/2} int_0^infty e^{-|y|^2/4t} q(t)
                 t^{-(n-1)/2} dt.
 
-The module evaluates this kernel by integrating out t first, which
-leaves a single integral against the kernel w from :mod:`.weight` of a
-function of z = kappa/c0 minus its Taylor polynomial, by
-:func:`.density.taylor_remainder`: of (1+z)^{-m} for n >= 3 (adaptive
-v-quadrature completed by exact kernel moment tails), and at n = 2,
-where that bracket's prefactor degenerates, of its logarithmic limit,
-by :func:`.density.table_integral` on the density evaluator's cached
-v-table.  At mu = 1/2 the functional is one-sided 1/2-stable and the
-kernel collapses to the (n-1)-dimensional Cauchy density.
+Integrating out t first leaves the density module's one pattern:
+int w(v) R_j(z) dv, z = kappa/c0, R_j a function minus its Taylor
+polynomial, by one of its two integrators, plus a far part stated here.
+For n >= 3 R_j is the remainder of (1+z)^{-m}, by
+:func:`.density.adaptive_integral`, far part left out; at n = 2, where
+the prefactor degenerates, of its log limit, by
+:func:`.density.table_integral`, far part by panels.  At mu = 1/2 the
+kernel is the (n-1)-dimensional Cauchy density.
 
 Also here: the rho -> infinity tail constant of the kernel, by
 extrapolation over a geometric radius grid.
@@ -32,15 +31,11 @@ from typing import Tuple
 import numpy as np
 
 from .bessel import gamma_fn
-from .density import (cached_evaluator, q_density, table_integral,
-                      taylor_remainder)
+from .density import (adaptive_integral, cached_evaluator, q_density,
+                      table_integral)
 from .errors import ConvergenceError, DomainError
-from .quadrature import (
-    QuadratureSpec,
-    gauss_legendre_panels,
-    integrate_finite,
-)
-from .weight import ModelParams, w_kappa_moment_tail
+from .quadrature import gauss_legendre_panels
+from .weight import ModelParams
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,6 @@ class PoissonParams:
         if not np.isfinite(self.rho) or self.rho < 0.0:
             raise DomainError(f"boundary distance must be finite and >= 0, "
                               f"got {self.rho}")
-
-    @property
-    def alpha(self) -> float:
-        return 2.0 * self.model.mu - self.n + 1.0
 
 
 def cauchy_kernel(n: int, lam: float, rho) -> float:
@@ -147,8 +138,9 @@ def kernel_closed(p: PoissonParams) -> float:
 
     with C = Gamma(n/2-1)/(2 pi^{n/2}), m = n/2 - 1, c0 = lam^2 +
     rho^2, z = v(2 lam + v)/c0 and R_j = (1+z)^{-m} minus its Taylor
-    polynomial through degree j = min(1, l_terms), by adaptive
-    v-quadrature up to a cut and exact kernel moment tails beyond.
+    polynomial through degree j = min(1, l_terms), by
+    :func:`.density.adaptive_integral` up to a cut v_hi, without the far
+    part int_v_hi^infty w (1+z)^{-m} dv.
     At n = 2 the prefactor degenerates; the m -> 0 limit of the bracket
     is a log, and :func:`_kernel_plane` sums it on the density
     evaluator's v-table.  The tests hold it within 1e-11 of a Fourier
@@ -169,32 +161,15 @@ def kernel_closed(p: PoissonParams) -> float:
     m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
     j = min(1, ev.l_terms)
-    coefs = _binomial_coefs(m)
-
-    def integrand(v):
-        v = np.asarray(v, dtype=float)
-        z = v * (2.0 * lam + v) / c0
-        return ev.w.eval(v) * taylor_remainder(
-            lambda y: np.expm1(-m * np.log1p(y)), coefs, z, j, 0.5)
-
-    # structure sits at the w scales (v ~ 1 + lam) and at the bracket
-    # saturation scale v ~ sqrt(c0); past v_hi the bracket is -1 (or
-    # m z - 1), whose kernel tail integrals are exact
+    # splits at the w scales and the bracket's v ~ sqrt(c0); the far part
+    # left out is the mu < 1/2 bias perfbench pins (n = 3, mu = 0, rho = 6)
     sq = math.sqrt(c0)
     v_hi = max(80.0 * (1.0 + lam), 40.0 * sq)
-    splits = tuple(sorted({s for s in (0.5, 1.0 + lam, 5.0 * (1.0 + lam),
-                                       20.0 * (1.0 + lam), 0.3 * sq, sq,
-                                       3.0 * sq, 10.0 * sq)
-                           if 0.0 < s < v_hi}))
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-11,
-                          max_subdivisions=1200, split_points=splits or None)
-    quad_part = integrate_finite(integrand, 0.0, v_hi, spec).value
-
-    comp = -sum(float(coefs[i]) * w_kappa_moment_tail(ev.w, i, v_hi)
-                / c0 ** i for i in range(j + 1))
-
+    bracket = adaptive_integral(
+        ev, c0, lambda y: np.expm1(-m * np.log1p(y)), _binomial_coefs(m), j,
+        0.5, v_hi, (0.5, 1.0 + lam, 5.0 * (1.0 + lam), 20.0 * (1.0 + lam),
+                    0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)
     const = gamma_fn(0.5 * n - 1.0) * lam / (2.0 * math.pi ** (0.5 * n))
-    bracket = quad_part + comp
     if not j:
         bracket += (n - 2.0) * x ** (mu - 0.5) / c0
     return const * c0 ** (-m) * bracket

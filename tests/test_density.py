@@ -838,6 +838,20 @@ def test_survival_half_drift_is_erf():
         assert survival(ev, big_t) == pytest.approx(want, rel=1e-13)
 
 
+# past survival's cut v_hi = 12 sqrt(T) + 50 (1 + lam) erf has
+# saturated, so 2 sqrt(T) f there is linear in v and survival's far part
+# is two kernel moment tails
+@pytest.mark.parametrize("lam,big_t", [(1.0, 5.0), (0.5, 60.0), (9.0, 0.2),
+                                       (1.0, 1e4)])
+def test_survival_far_part_is_linear(lam, big_t):
+    closed, coefs = density._survival_remainder(lam * lam / (4.0 * big_t))
+    v = (12.0 * math.sqrt(big_t) + 50.0 * (1.0 + lam)) * np.array(
+        [1.0, 1.5, 4.0, 1e3, 1e6])
+    got = 2.0 * math.sqrt(big_t) * (closed(v * (2.0 * lam + v)
+                                           / (4.0 * big_t)) + coefs[0])
+    np.testing.assert_allclose(got, -SQRT_PI * (lam + v), rtol=1e-14, atol=0)
+
+
 def test_survival_at_zero_is_total_mass():
     ev = ev_for(1.0, 2.0)
     assert survival(ev, 0.0) == total_mass(ev)

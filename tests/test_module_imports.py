@@ -1,14 +1,16 @@
 """Package layout rules: no module uses a private name of a sibling,
 no public function goes unused, only the quadrature module names the
-semi-infinite adaptive engine, and no module tests the drift against
-1/2 to choose a representation.
+semi-infinite adaptive engine, only density's adaptive_integral calls
+the finite one, and no module tests the drift against 1/2 to choose a
+representation.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
 Two ways in are checked: importing a private name, and reading a
 private attribute of an object the module got from elsewhere.  The
-other way round, a public function, or a public method or property of a
-public class, that neither a sibling module nor a test names is dead
+other way round, a public function that neither a sibling module nor a
+test names, or a public method or property of a public class that no
+sibling module or test reads as an attribute (obj.name), is dead
 surface.
 """
 
@@ -89,6 +91,13 @@ def names_used(source: str):
     return found
 
 
+def attributes_read(source: str):
+    """Every name the source reads as an attribute, obj.name."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _public_surface(tree):
     """(name, label) for each public top-level function and each public
     method or property of a public top-level class."""
@@ -103,17 +112,39 @@ def _public_surface(tree):
 
 
 def unreferenced_public_functions(modules: dict, others: dict):
-    """(module, label) for each public top-level function, and each
-    public method or property of a public class ("Class.name"), of a
-    module in modules that no other source in modules or others names."""
-    used = {key: names_used(src) for key, src in {**modules,
-                                                  **others}.items()}
+    """(module, label) for each public top-level function of a module in
+    modules that no other source in modules or others names, and each
+    public method or property of a public class ("Class.name") that no
+    other source reads as an attribute."""
+    sources = {**modules, **others}
+    used = {key: names_used(src) for key, src in sources.items()}
+    read = {key: attributes_read(src) for key, src in sources.items()}
     found = []
     for key, src in modules.items():
         for name, label in _public_surface(ast.parse(src)):
-            if not any(name in names for other, names in used.items()
+            pool = read if "." in label else used
+            if not any(name in names for other, names in pool.items()
                        if other != key):
                 found.append((key, label))
+    return sorted(found)
+
+
+def calls_by_function(source: str, name: str):
+    """(top-level function, line) for each call of name, plain or as an
+    attribute; a call outside any top-level function is under "".
+    Imports and other references are not calls."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = (top.name if isinstance(top, (ast.FunctionDef,
+                                              ast.AsyncFunctionDef))
+                 else "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name)
+                     and node.func.id == name)
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == name)):
+                found.append((owner, node.lineno))
     return sorted(found)
 
 
@@ -192,6 +223,38 @@ def test_rule_catches_unreferenced_public_methods():
         ("a.py", "Rep.cut"), ("a.py", "Rep.lonely")]
 
 
+def test_rule_counts_only_attribute_reads_of_methods():
+    # a local variable, an argument or a keyword of the same name in
+    # another source does not use a property
+    modules = {"a.py": ("class Params:\n"
+                        "    @property\n"
+                        "    def alpha(self): return 1.0\n"
+                        "    @property\n"
+                        "    def beta(self): return 2.0\n"),
+               "b.py": ("def rule(p, alpha=0.0):\n"
+                        "    alpha, beta = [], [p.beta]\n"
+                        "    return dict(alpha=alpha), beta\n")}
+    assert unreferenced_public_functions(modules, {}) == [
+        ("a.py", "Params.alpha"), ("b.py", "rule")]
+
+
+def test_rule_catches_calls_of_the_finite_engine():
+    src = ("from .quadrature import integrate_finite\n"
+           "from . import quadrature\n"
+           "ENGINE = integrate_finite\n"
+           "def one(f):\n"
+           "    return integrate_finite(f, 0.0, 1.0)\n"
+           "def two(f):\n"
+           "    def inner(v):\n"
+           "        return quadrature.integrate_finite(f, 0.0, v)\n"
+           "    return inner\n"
+           "def three():\n"
+           "    return ENGINE\n"
+           "TOTAL = integrate_finite(abs, 0.0, 1.0)\n")
+    assert calls_by_function(src, "integrate_finite") == [
+        ("", 12), ("one", 5), ("two", 8)]
+
+
 def test_rule_catches_drift_half_comparisons():
     src = ("if mu <= 0.5:\n"
            "    j = int(p.mu > 0.5)\n"
@@ -225,6 +288,18 @@ def test_only_quadrature_names_the_semi_infinite_engine():
                  and "integrate_semi_infinite" in names_used(
                      path.read_text())]
     assert offenders == []
+
+
+def test_only_adaptive_integral_calls_the_finite_engine():
+    # every adaptive kernel integral in the package is one
+    # density.adaptive_integral call; weight's import of the engine is
+    # not a call
+    calls = {path.name: calls_by_function(path.read_text(),
+                                          "integrate_finite")
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "quadrature.py"}
+    assert {k: [f for f, _ in v] for k, v in calls.items() if v} == {
+        "density.py": ["adaptive_integral"]}
 
 
 def test_no_private_attribute_reads_between_modules():

@@ -26,11 +26,14 @@ import pytest
 from scipy import integrate as sint
 from scipy import special as sp
 
+from gbm_hitfun import poisson
 from gbm_hitfun.density import (
+    adaptive_integral,
     build_evaluator,
     cached_evaluator,
     q_density,
     survival,
+    table_integral,
     tail_constant,
 )
 from gbm_hitfun.poisson import (
@@ -185,6 +188,33 @@ def test_kernel_tail_matches_closed_constant(mu, n, rel):
     tail = kernel_tail(PoissonParams(n, ModelParams(mu, x), 0.0))
     assert tail.regime == "power"
     assert tail.value == pytest.approx(want, rel=rel)
+
+
+# with kernel_closed's arguments the adaptive integrator gives the n >= 3
+# bracket the table integrator gives where both far parts vanish (2e-15
+# to 7.4e-11 apart here); they part by 2e-7 at (mu, n, rho) = (0.3, 4, 2)
+# and 1.4e-4 at (0, 3, 6), the far part int w (1+z)^{-m} past v_hi that
+# kernel_closed leaves out
+@pytest.mark.parametrize("mu,n,rho", [(1.2, 4, 2.0), (2.2, 5, 6.0),
+                                      (3.7, 3, 2.0), (7.0, 4, 6.0)])
+def test_adaptive_and_table_integrals_agree(mu, n, rho):
+    ev = cached_evaluator(mu, 2.0)
+    lam, m = ev.params.lam, 0.5 * n - 1.0
+    c0 = lam * lam + rho * rho
+    sq = math.sqrt(c0)
+    coefs = poisson._binomial_coefs(m)
+
+    def f0(z):
+        return np.expm1(-m * np.log1p(z))
+
+    splits = (0.5, 1.0 + lam, 5.0 * (1.0 + lam), 20.0 * (1.0 + lam),
+              0.3 * sq, sq, 3.0 * sq, 10.0 * sq)
+    got = adaptive_integral(ev, c0, f0, coefs, min(1, ev.l_terms), 0.5,
+                            max(80.0 * (1.0 + lam), 40.0 * sq), splits,
+                            1e-11, 1200)
+    want = table_integral(ev.table, np.array([c0]), f0, coefs,
+                          lambda j: 0.5, ev.l_terms)[0][0]
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
