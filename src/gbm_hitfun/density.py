@@ -10,12 +10,18 @@ has a density q(t) on (0, infinity) of the form
 with the kernel w from :mod:`.weight`, kappa = v (2 lam + v) and E_l(s)
 the exponential e^{-s} minus its Taylor polynomial through degree
 l = l_terms, which alone decides the lead term.  Every kernel integral
-here and in :mod:`.poisson` is one pattern: one remainder R_j (f minus
-its Taylor polynomial, :func:`taylor_remainder`); two integrators of
-int w R_j(kappa/sigma) dv, :func:`table_integral` on a fixed v-table and
-:func:`adaptive_integral` up to a cut, each completing the polynomial
-part by moment tails; and a far part, int w f past the end, per caller.
-q takes two routes:
+here and in :mod:`.poisson` is one pattern, int w R_j(kappa/sigma) dv
+with R_j = f minus its Taylor polynomial (:func:`taylor_remainder`);
+each caller states only its f, its reach and its lead term.
+:func:`table_integral` sums it on one fixed composite Gauss-Legendre
+v-grid (0.5-wide panels up to v = 32, ratio-2 panels up to v = 1e8, 20
+points each, built per evaluator on first use), completes the
+polynomial part by moment tails and owns the reach: a sigma whose
+kappa/sigma at the top falls short of it gets the fewest ratio-2
+panels past the top that reach it.  :func:`far_integral` owns the far
+part, int w f past the top, by more such panels;
+:func:`adaptive_integral` is the table's adaptive sibling up to a cut,
+for the two callers not yet on the table.  q takes two routes:
 
 * the direct route, for t up to t_switch: the polynomial part of E_l
   integrates to closed kernel moments and the e^{-kappa/4t} part, after
@@ -25,14 +31,10 @@ q takes two routes:
   roundoff, the rule's measured deviation and a bound on the grid nodes
   left out at small u;
 * the table route, for t beyond t_switch and for every point whose
-  estimate passes 2e-10: J is :func:`table_integral` of E_l at
-  sigma = 4t on one fixed composite Gauss-Legendre grid (0.5-wide
-  panels up to v = 32, ratio-2 panels up to v = 1e8, 20 points each).
-  Weight times kernel value and kappa at the nodes do not depend on t;
-  each evaluator builds them on its first fallback, and all fallback
-  points of a call are then one product.  A t too large for the grid
-  (t above about 6e13) gets more ratio-2 panels for that call, so the
-  route covers every t > 0 (up to 2e99 at mu = 0).
+  estimate passes 2e-10: :func:`table_integral` of E_l at sigma = 4t
+  with reach 40, past which e^{-s} is below 1e-17 of the polynomial
+  part and the far part is nothing.  It covers every t > 0 (up to 2e99
+  at mu = 0) until the moment tails leave double range (DomainError).
 
 Also here, each with one route: total mass from the kernel's first
 power moment; survival by the exact swap of the t-integral
@@ -110,7 +112,7 @@ class DensityEvaluator:
     t_switch: float
 
     @functools.cached_property
-    def table(self):
+    def _table(self):
         """(kappa_k, W_k w(v_k), top, T) on the table route's fixed
         v-grid (see the module docstring), built on first use: kappa and
         weight times kernel at the nodes, top = 1e8 and the tails
@@ -118,17 +120,6 @@ class DensityEvaluator:
         edges = np.concatenate([np.arange(0.0, _TABLE_KNEE, 0.5),
                                 geometric_edges(_TABLE_KNEE, _TABLE_TOP)])
         return _table_panels(self, edges)
-
-    def extended_table(self, panels: int):
-        """:attr:`table` with `panels` more ratio-2 panels past its top,
-        its tails moved to the new top; not cached."""
-        if not panels:
-            return self.table
-        kappa, wt, top, _ = self.table
-        k_ext, w_ext, top, tails = _table_panels(
-            self, top * 2.0 ** np.arange(panels + 1.0))
-        return (np.concatenate([kappa, k_ext]), np.concatenate([wt, w_ext]),
-                top, tails)
 
 
 def build_evaluator(params: ModelParams) -> DensityEvaluator:
@@ -183,47 +174,77 @@ def taylor_remainder(f0, coefs, z: np.ndarray, j: int,
     return out
 
 
-def table_integral(table, sigma: np.ndarray, f0, coefs, switch,
-                   l: int) -> Tuple[np.ndarray, np.ndarray]:
-    """int w(v) R_j(kappa/sigma) dv over a v-table and its polynomial
-    tail, at an array of scales sigma, with the l1 norm of the summands.
+def table_integral(ev: DensityEvaluator, sigma: np.ndarray, f0, coefs,
+                   switch, reach: float):
+    """int w(v) R_j(kappa/sigma) dv over the evaluator's v-table and its
+    polynomial tail at an array of scales sigma: the value, the l1 norm
+    of its summands and the table's top, per sigma.
 
-    R_j = taylor_remainder(f0, coefs, ., j, switch(j)).  The table
-    (kappa_k, W_k w(v_k), top, T), T_i = int_top^infty kappa^i w dv,
-    gives the product R_j(kappa_k/sigma) @ (W_k w(v_k)) plus the
-    polynomial part's exact completion -sum_{i <= j} c_i T_i sigma^{-i};
-    f past the top is the caller's.  Every min(1, l) <= j <= l gives
+    R_j = taylor_remainder(f0, coefs, ., j, switch(j)).  Each sigma gets
+    the fewest ratio-2 panels past the table's top that bring
+    kappa/sigma there to `reach`, and the sigmas with one count share
+    one product, so no value depends on the other scales.  The sum
+    R_j(kappa_k/sigma) @ (W_k w(v_k)) is completed by the polynomial
+    part's exact tail -sum_{i <= j} c_i T_i sigma^{-i}, T_i =
+    int_top^infty kappa^i w dv; f past the top is the caller's
+    (:func:`far_integral`).  Every min(1, l) <= j <= l = l_terms gives
     the same integral by the kernel moment identities; the j whose
     summands have the least l1 norm is taken, so that the sum does not
-    cancel (no single j holds its digits both at small and at large
-    sigma).
+    cancel (no single j holds its digits at both small and large sigma).
     """
-    kap, wt, _, tails = table
+    lam, l, base = ev.params.lam, ev.l_terms, ev._table
+    v_need = np.sqrt(lam * lam + reach * sigma) - lam
+    panels = np.maximum(0.0, np.ceil(np.log2(v_need / base[2])))
+    val, norm, tops = (np.empty_like(sigma) for _ in range(3))
+    for k in np.unique(panels):
+        rows = np.flatnonzero(panels == k)
+        kap, wt, tops[rows], tails = base
+        if k:
+            k_ext, w_ext, tops[rows], tails = _table_panels(
+                ev, base[2] * 2.0 ** np.arange(k + 1.0))
+            kap, wt = np.concatenate([kap, k_ext]), np.concatenate([wt, w_ext])
 
-    def at(j, sig):
-        e = taylor_remainder(f0, coefs, kap[None, :] / sig[:, None], j,
-                             switch(j))
-        tail = sum(coefs[i] * tails[i] / sig ** i for i in range(j + 1))
-        return e @ wt - tail, np.abs(e) @ np.abs(wt)
+        def at(j, rows):
+            sig = sigma[rows]
+            e = taylor_remainder(f0, coefs, kap[None, :] / sig[:, None], j,
+                                 switch(j))
+            tail = sum(coefs[i] * tails[i] / sig ** i for i in range(j + 1))
+            return e @ wt - tail, np.abs(e) @ np.abs(wt)
 
-    val, norm = at(l, sigma)
-    rows = np.arange(val.size)
-    if l > 1:
-        # the summands of R_{l-1} have an l1 norm of at least P - norm,
-        # P = sum |W w c_l| (kappa/sigma)^l; where P >= 2 norm, l is least
-        lk = l * np.log(kap)
-        log_p = (np.log(np.abs(wt) @ np.exp(lk - lk.max())) + lk.max()
-                 - l * np.log(sigma) + math.log(abs(coefs[l])))
-        rows = rows[log_p < np.log(2.0 * norm)]
-    # down from l the norm falls to its least, then rises
-    for j in range(l - 1, 0, -1):
-        if not rows.size:
-            break
-        alt, alt_norm = at(j, sigma[rows])
-        better = alt_norm < norm[rows]
-        rows = rows[better]
-        val[rows], norm[rows] = alt[better], alt_norm[better]
-    return val, norm
+        val[rows], norm[rows] = at(l, rows)
+        if l > 1:
+            # R_{l-1}'s summands have an l1 norm >= P - norm, P = sum
+            # |W w c_l| (kappa/sigma)^l; where P >= 2 norm, l is least
+            lk = l * np.log(kap)
+            log_p = (np.log(np.abs(wt) @ np.exp(lk - lk.max())) + lk.max()
+                     - l * np.log(sigma[rows]) + math.log(abs(coefs[l])))
+            rows = rows[log_p < np.log(2.0 * norm[rows])]
+        # down from l the norm falls to its least, then rises
+        for j in range(l - 1, 0, -1):
+            if not rows.size:
+                break
+            alt, alt_norm = at(j, rows)
+            better = alt_norm < norm[rows]
+            rows = rows[better]
+            val[rows], norm[rows] = alt[better], alt_norm[better]
+    return val, norm, tops
+
+
+def far_integral(ev: DensityEvaluator, top: float, f, scale: float) -> float:
+    """int_top^infty w(v) f(kappa) dv, kappa = v (2 lam + v), the far
+    part past a table's top: 20-point ratio-2 panels, eight at a time,
+    until a panel adds under 1e-17 of scale (the l1 norm of the sum it
+    completes)."""
+    lam, total = ev.params.lam, 0.0
+    while True:
+        v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0),
+                                       _TABLE_PTS)
+        parts = (wts * ev.w.eval(v)
+                 * f(v * (2.0 * lam + v))).reshape(8, _TABLE_PTS)
+        total += parts.sum()
+        if abs(parts[-1].sum()) <= 1e-17 * scale:
+            return total
+        top *= 256.0
 
 
 def adaptive_integral(ev: DensityEvaluator, sigma: float, f0, coefs,
@@ -293,29 +314,15 @@ def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
 
 
 def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
-    """Density by the table route at an array of t > 0.
-
-    J(t) is :func:`table_integral` of E_l = taylor_remainder of e^{-s}
-    at sigma = 4t over the evaluator's v-grid, plus x^{mu-1/2}/(2t) for
-    l = 0.  Past the grid's top e^{-s} is dropped, so a t with
-    kappa/4t < _POLY_S at the top gets k ratio-2 panels past it, k the
-    fewest that reach _POLY_S, and its tails move to the new top; k
-    depends on that t alone, so a value does not depend on the others.
-    """
+    """Density by the table route at an array of t > 0 (module
+    docstring): J(t) = [x^{mu-1/2}/(2t), l = 0] + :func:`table_integral`
+    of E_l at sigma = 4t, reach _POLY_S."""
     p = ev.params
-    mu, lam, x = p.mu, p.lam, p.x
-    v_need = np.sqrt(lam * lam + 4.0 * _POLY_S * ts) - lam
-    panels = np.maximum(0.0, np.ceil(np.log2(v_need / ev.table[2])))
-    j_val = np.empty_like(ts)
-    for k in np.unique(panels):
-        rows = panels == k
-        j_val[rows] = table_integral(
-            ev.extended_table(int(k)), 4.0 * ts[rows],
-            lambda s: np.expm1(-s), _EXP_COEFS, lambda j: 0.5 * (j + 1.0),
-            ev.l_terms)[0]
+    j_val = table_integral(ev, 4.0 * ts, lambda s: np.expm1(-s), _EXP_COEFS,
+                           lambda j: 0.5 * (j + 1.0), _POLY_S)[0]
     if ev.l_terms == 0:
-        j_val += x ** (mu - 0.5) / (2.0 * ts)
-    return _prefactor(lam, ts) * j_val
+        j_val += p.x ** (p.mu - 0.5) / (2.0 * ts)
+    return _prefactor(p.lam, ts) * j_val
 
 
 def q_density(ev: DensityEvaluator, t):

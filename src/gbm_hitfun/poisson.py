@@ -9,17 +9,19 @@ A(tau) of the height process:
     P_1(x, y) = (4 pi)^{-(n-1)/2} int_0^infty e^{-|y|^2/4t} q(t)
                 t^{-(n-1)/2} dt.
 
-Integrating out t first leaves the density module's one pattern:
-int w(v) R_j(z) dv, z = kappa/c0, R_j a function minus its Taylor
-polynomial, by one of its two integrators, plus a far part stated here.
-For n >= 3 R_j is the remainder of (1+z)^{-m}, by
-:func:`.density.adaptive_integral`, far part left out; at n = 2, where
-the prefactor degenerates, of its log limit, by
-:func:`.density.table_integral`, far part by panels.  At mu = 1/2 the
-kernel is the (n-1)-dimensional Cauchy density.
+Integrating out t first leaves one formula for every n >= 2 and
+mu >= 0, :func:`kernel_closed`: a lead term, present when l_terms = 0,
+plus the density module's pattern int w(v) R_j(z) dv, z = kappa/c0,
+R_j the Taylor remainder of (1+z)^{-m} (at n = 2 of its log limit).
+The caller states only its f, its reach and its lead term:
+:func:`.density.table_integral` owns the table and its reach, and
+:func:`.density.far_integral` the far part past the table's top by
+panels.  At mu = 1/2 the kernel w is empty and the lead term alone is
+the (n-1)-dimensional Cauchy density.  At n >= 3 the integral still
+runs :func:`.density.adaptive_integral`, far part left out.
 
-Also here: the rho -> infinity tail constant of the kernel, by
-extrapolation over a geometric radius grid.
+Also here: the rho -> infinity tail constant of the kernel, closed at
+mu = 0 and by extrapolation over a geometric radius grid for mu > 0.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from typing import Tuple
 import numpy as np
 
 from .bessel import gamma_fn
-from .density import (adaptive_integral, cached_evaluator, q_density,
-                      table_integral)
+from .density import (adaptive_integral, cached_evaluator, far_integral,
+                      q_density, table_integral)
 from .errors import ConvergenceError, DomainError
-from .quadrature import gauss_legendre_panels
 from .weight import ModelParams
 
 
@@ -92,87 +93,57 @@ def _binomial_coefs(m: float) -> np.ndarray:
                             / np.arange(1.0, 128.0)])
 
 
-def _kernel_plane(p: PoissonParams) -> float:
-    """The n = 2 kernel on the density evaluator's v-table.
-
-    Integrating out t leaves P = (lam / 2 pi) ([l = 0] 2 x^{mu-1/2} / c0
-    - int w g_j(z) dv), g_j(z) = log(1+z) - sum_{i <= j}
-    (-1)^{i+1} z^i / i the Taylor remainder of log1p, exact for every
-    min(1, l) <= j <= l = l_terms by the kernel moment identities.  The
-    integral is :func:`table_integral` at sigma = c0, which picks j by
-    the l1 norm of its summands, completed past the table's top by
-    20-point ratio-2 panels of w log(1+z), eight at a time, until a
-    panel adds under 1e-17 of that norm.  The table is extended until z
-    reaches 4 at its top, so the two completions do not cancel.
-    """
-    model = p.model
-    mu, lam, x = model.mu, model.lam, model.x
-    ev = cached_evaluator(mu, x)
-    c0 = lam * lam + p.rho * p.rho
-    v_need = math.sqrt(lam * lam + 4.0 * c0) - lam
-    table = ev.extended_table(
-        max(0, math.ceil(math.log2(v_need / ev.table[2]))))
-    integral, scale = (float(a[0]) for a in table_integral(
-        table, np.array([c0]), np.log1p, _LOG1P_COEFS, lambda j: 0.5,
-        ev.l_terms))
-    top = table[2]
-    while True:
-        v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0), 20)
-        parts = (wts * ev.w.eval(v)
-                 * np.log1p(v * (2.0 * lam + v) / c0)).reshape(8, 20)
-        integral += parts.sum()
-        if abs(parts[-1].sum()) <= 1e-17 * scale:
-            break
-        top *= 256.0
-    lead = 2.0 * x ** (mu - 0.5) / c0 if ev.l_terms == 0 else 0.0
-    return lam / (2.0 * math.pi) * (lead - integral)
-
-
 def kernel_closed(p: PoissonParams) -> float:
-    """Poisson kernel as a single integral of w, for every n >= 2.
+    """Poisson kernel as one integral of w, for every n >= 2 and mu >= 0.
 
-    Integrating out t in the subordination formula leaves, for n >= 3,
+    Integrating out t in the subordination formula leaves
 
-        P = C lam c0^{-m} [ [l = 0] (n-2) x^{mu-1/2} / c0
-                            + int w(v) R_j(z) dv ]
+        P = lam c0^{-m} / (2 pi^{n/2}) [ [l = 0] G (n-2) x^{mu-1/2} / c0
+                                         + int w(v) G R_j(z) dv ]
 
-    with C = Gamma(n/2-1)/(2 pi^{n/2}), m = n/2 - 1, c0 = lam^2 +
-    rho^2, z = v(2 lam + v)/c0 and R_j = (1+z)^{-m} minus its Taylor
-    polynomial through degree j = min(1, l_terms), by
-    :func:`.density.adaptive_integral` up to a cut v_hi, without the far
-    part int_v_hi^infty w (1+z)^{-m} dv.
-    At n = 2 the prefactor degenerates; the m -> 0 limit of the bracket
-    is a log, and :func:`_kernel_plane` sums it on the density
-    evaluator's v-table.  The tests hold it within 1e-11 of a Fourier
-    inversion at x = 2, mu <= 7, rho <= 3 (4.1e-13 at worst there),
+    with m = n/2 - 1, G = Gamma(m), c0 = lam^2 + rho^2, z = v(2 lam +
+    v)/c0 and R_j = (1+z)^{-m} minus its Taylor polynomial through
+    degree j, the same for every min(1, l) <= j <= l = l_terms.  At
+    n = 2 the m -> 0 limits hold: G (n-2) = 2, G R_j = the remainder of
+    -log(1+z).  At mu = 1/2, w is empty, l = 0 and the lead term alone
+    is the (n-1)-dimensional Cauchy density.
+
+    Only the integrator depends on n.  At n = 2 it is
+    :func:`.density.table_integral` at sigma = c0 with reach z = 4, so
+    that its polynomial tail and the far part by
+    :func:`.density.far_integral` do not cancel; the tests hold it
+    within 1e-11 of a Fourier inversion at x = 2, mu <= 7, rho <= 3,
     within 5e-9 of subordination at rho = 6-20 and within 1e-12 of the
-    tail law at rho >= 1e9.
-    At mu = 1/2 the exact Cauchy form is returned.
+    tail law at rho >= 1e9.  At n >= 3 it is
+    :func:`.density.adaptive_integral` (j = min(1, l)) up to a cut v_hi,
+    without the far part int_v_hi^infty w (1+z)^{-m} dv.
     """
-    n = p.n
-    model = p.model
+    n, model, rho = p.n, p.model, p.rho
     mu, lam, x = model.mu, model.lam, model.x
-    rho = p.rho
-    if abs(mu - 0.5) <= 1e-12:
-        return cauchy_kernel(n, lam, rho)
-    if n == 2:
-        return _kernel_plane(p)
     ev = cached_evaluator(mu, x)
-    m = 0.5 * n - 1.0
     c0 = lam * lam + rho * rho
-    j = min(1, ev.l_terms)
-    # splits at the w scales and the bracket's v ~ sqrt(c0); the far part
-    # left out is the mu < 1/2 bias perfbench pins (n = 3, mu = 0, rho = 6)
-    sq = math.sqrt(c0)
-    v_hi = max(80.0 * (1.0 + lam), 40.0 * sq)
-    bracket = adaptive_integral(
-        ev, c0, lambda y: np.expm1(-m * np.log1p(y)), _binomial_coefs(m), j,
-        0.5, v_hi, (0.5, 1.0 + lam, 5.0 * (1.0 + lam), 20.0 * (1.0 + lam),
-                    0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)
-    const = gamma_fn(0.5 * n - 1.0) * lam / (2.0 * math.pi ** (0.5 * n))
-    if not j:
-        bracket += (n - 2.0) * x ** (mu - 0.5) / c0
-    return const * c0 ** (-m) * bracket
+    if n == 2:
+        m, gam, lead = 0.0, 1.0, 2.0
+        val, norm, top = (float(a[0]) for a in table_integral(
+            ev, np.array([c0]), lambda z: -np.log1p(z), -_LOG1P_COEFS,
+            lambda j: 0.5, 4.0))
+        bracket = val + far_integral(ev, top, lambda k: -np.log1p(k / c0),
+                                     norm)
+    else:
+        m = 0.5 * n - 1.0
+        gam, lead = gamma_fn(m), n - 2.0
+        # splits at the w scales and the bracket's v ~ sqrt(c0); the far
+        # part left out is the mu < 1/2 bias perfbench pins (n = 3,
+        # mu = 0, rho = 6)
+        sq = math.sqrt(c0)
+        bracket = adaptive_integral(
+            ev, c0, lambda y: np.expm1(-m * np.log1p(y)), _binomial_coefs(m),
+            min(1, ev.l_terms), 0.5, max(80.0 * (1.0 + lam), 40.0 * sq),
+            (0.5, 1.0 + lam, 5.0 * (1.0 + lam), 20.0 * (1.0 + lam),
+             0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)
+    if ev.l_terms == 0:
+        bracket += lead * x ** (mu - 0.5) / c0
+    return gam * lam / (2.0 * math.pi ** (0.5 * n)) * c0 ** (-m) * bracket
 
 
 # ---------------------------------------------------------------------
@@ -221,27 +192,25 @@ def _accelerated_limit(g: np.ndarray) -> Tuple[float, float]:
 
 
 def kernel_tail(p: PoissonParams) -> PoissonTail:
-    """Tail constant by extrapolation over a geometric radius grid.
+    """Tail constant of the kernel as rho -> infinity; the boundary
+    distance in p is ignored.
 
-    Evaluates :func:`kernel_closed` at ten radii.  The boundary
-    distance in p is ignored; the limit is over rho -> infinity.
+    At mu = 0 it is closed: q ~ 2 log x / (t log^2 t) subordinates to
+    P ~ log x Gamma(a) / (2 pi^a) / (rho^{n-1} log^2 rho), a = (n-1)/2.
+    For mu > 0 it is extrapolated from :func:`kernel_closed` at ten
+    radii on a geometric grid.
     """
     n = p.n
     model = p.model
     mu, lam = model.mu, model.lam
+    if mu == 0.0:
+        a = 0.5 * (n - 1.0)
+        return PoissonTail(n=n, mu=mu, regime="log", value=math.log(model.x)
+                           * gamma_fn(a) / (2.0 * math.pi ** a))
     rho0 = max(100.0, 30.0 * (1.0 + lam))
     rhos = rho0 * 4.0 ** np.arange(10)
     ps = np.array([kernel_closed(replace(p, rho=float(r))) for r in rhos])
-    if mu == 0.0:
-        g = np.log(rhos) ** 2 * rhos ** (n - 1.0) * ps
-        xi = 1.0 / np.log(rhos[-8:])
-        val = float(np.polyfit(xi, g[-8:], 2)[-1])
-        err = abs(val - float(np.polyfit(xi, g[-8:], 1)[-1]))
-        regime = "log"
-    else:
-        g = rhos ** (n + 2.0 * mu - 1.0) * ps
-        val, err = _accelerated_limit(g)
-        regime = "power"
+    val, err = _accelerated_limit(rhos ** (n + 2.0 * mu - 1.0) * ps)
     if not (val > 0.0) or not np.isfinite(val):
         raise ConvergenceError(
             "kernel tail extrapolation did not stabilize",
@@ -250,4 +219,4 @@ def kernel_tail(p: PoissonParams) -> PoissonTail:
         raise ConvergenceError(
             "kernel tail extrapolation spread exceeds 5 percent",
             estimate=val, err_est=err)
-    return PoissonTail(n=n, mu=mu, value=val, regime=regime)
+    return PoissonTail(n=n, mu=mu, value=val, regime="power")

@@ -167,21 +167,30 @@ def _discrete_modes(params: ModelParams,
 
 def _power_tail_weights(p: int, vcut: float) -> np.ndarray:
     """c_r = p!/r! vcut^r, r = 0..p: for s > 0,
-    int_vcut^infty v^p e^{-s v} dv = e^{-s vcut} sum_r c_r s^{r-p-1}."""
-    return np.array([math.factorial(p) / math.factorial(r) * vcut ** r
-                     for r in range(p + 1)])
+    int_vcut^infty v^p e^{-s v} dv = e^{-s vcut} sum_r c_r s^{r-p-1}.
+    DomainError where vcut^p, which bounds them for vcut >= p, leaves
+    double range."""
+    try:
+        return np.array([math.factorial(p) / math.factorial(r) * vcut ** r
+                         for r in range(p + 1)])
+    except OverflowError:
+        raise DomainError(f"v^{p} moment tail weights overflow at "
+                          f"vcut = {vcut:g}") from None
 
 
 def _modes_power_tail(amp, rate, p: int, vcut: float) -> float:
     """sum over modes a e^{z v} of int_vcut^infty v^p a e^{z v} dv =
     a e^{z vcut} sum_r p!/r! vcut^r (-z)^{r-p-1}, the inner sum by
-    Horner in -z; the real part."""
+    Horner in -z; the real part.  A mode whose e^{z vcut} underflows
+    adds 0, also where its Horner sum has overflowed."""
     s = -rate
     poly = 0.0
-    for c in _power_tail_weights(p, vcut)[::-1]:
-        poly = poly * s + c
-    return float(np.sum(amp * np.exp(rate * vcut) * poly
-                        * s ** (-p - 1.0)).real)
+    decay = np.exp(rate * vcut)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in _power_tail_weights(p, vcut)[::-1]:
+            poly = poly * s + c
+        terms = amp * decay * poly * s ** (-p - 1.0)
+    return float(np.sum(np.where(decay == 0.0, 0.0, terms)).real)
 
 
 def _modes_tail_laplace(amp, rate, r) -> np.ndarray:

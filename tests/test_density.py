@@ -653,6 +653,48 @@ def test_table_route_holds_at_small_t(mu, x):
                        atol=0.0)
 
 
+# each t gets its own ratio-2 panels past the table's top, so one call
+# over several t gives each t's single-point value
+@pytest.mark.parametrize("mu,x", [(0.3, 2.0), (2.2, 2.0), (7.0, 3.0)])
+def test_table_route_value_does_not_depend_on_the_other_points(mu, x):
+    ev = ev_for(mu, x)
+    ts = np.array([5e3, 1e14, 1e17, 1e20, 1e30])
+    assert np.array_equal(q_density(ev, ts), [q_density(ev, t) for t in ts])
+
+
+# past a large cut the kappa-moment tails met 0 * inf (NaN at t = 1e30,
+# (9.3, 1.5)) and Python's OverflowError (t = 1e32); now q meets its
+# tail law until the law underflows and raises DomainError only beyond
+@pytest.mark.parametrize("mu,x", [(3.7, 2.0), (5.3, 2.0), (7.0, 2.0),
+                                  (9.3, 1.5), (9.3, 3.0)])
+def test_far_density_meets_tail_law_or_raises_domain_error(mu, x):
+    ev = ev_for(mu, x)
+    c = tail_constant(ev).value
+    for k in range(14, 121):
+        t = 10.0 ** k
+        law = c * t ** (-mu - 1.0)
+        try:
+            got = q_density(ev, t)
+        except DomainError:
+            assert law < 1e-280, t
+            continue
+        assert not math.isnan(got), t
+        if law >= 1e-280:
+            assert got == pytest.approx(law, rel=1e-8, abs=0.0), t
+
+
+@pytest.mark.parametrize("mu,x", [(3.7, 2.0), (5.3, 2.0), (7.0, 2.0),
+                                  (9.3, 1.5), (9.3, 3.0)])
+def test_far_survival_is_finite_or_raises_domain_error(mu, x):
+    ev = ev_for(mu, x)
+    for big_t in (1e14, 1e30, 1e32, 1e45, 1e60, 1e75):
+        try:
+            got = survival(ev, big_t)
+        except DomainError:
+            continue
+        assert math.isfinite(got), big_t
+
+
 def test_driftless_far_tail_reach():
     # at mu = 0 the u-grid resolves w2 for v up to 1e51, which the
     # table reaches at t of about 2e99 (x = 2); beyond, DomainError

@@ -1,8 +1,8 @@
 """Package layout rules: no module uses a private name of a sibling,
 no public function goes unused, only the quadrature module names the
 semi-infinite adaptive engine, only density's adaptive_integral calls
-the finite one, and no module tests the drift against 1/2 to choose a
-representation.
+the finite one, only density and weight import from quadrature, and no
+module tests the drift against 1/2 to choose a representation.
 
 Underscore-prefixed names are each module's own business; what another
 module needs belongs in the public surface of the module that owns it.
@@ -148,6 +148,23 @@ def calls_by_function(source: str, name: str):
     return sorted(found)
 
 
+def imports_from(source: str, module: str):
+    """(line, name) for each name imported from the sibling module
+    `module` and each import of that module itself, including imports
+    inside functions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == f"gbm_hitfun.{module}"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gbm_hitfun")):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if (node.module or "").split(".")[-1] == module
+                      or alias.name == module]
+    return sorted(found)
+
+
 def _is_drift(node) -> bool:
     return ((isinstance(node, ast.Name) and node.id == "mu")
             or (isinstance(node, ast.Attribute) and node.attr == "mu"))
@@ -255,6 +272,21 @@ def test_rule_catches_calls_of_the_finite_engine():
         ("", 12), ("one", 5), ("two", 8)]
 
 
+def test_rule_catches_quadrature_imports():
+    src = ("from .quadrature import gauss_legendre_panels, geometric_edges\n"
+           "from . import quadrature, weight\n"
+           "import gbm_hitfun.quadrature\n"
+           "from .density import table_integral, quadrature_rule\n"
+           "def f():\n"
+           "    from gbm_hitfun.quadrature import integrate_finite\n"
+           "from scipy import quadrature\n"
+           "import quadrature\n")
+    assert imports_from(src, "quadrature") == [
+        (1, "gauss_legendre_panels"), (1, "geometric_edges"),
+        (2, "quadrature"), (3, "gbm_hitfun.quadrature"),
+        (6, "integrate_finite")]
+
+
 def test_rule_catches_drift_half_comparisons():
     src = ("if mu <= 0.5:\n"
            "    j = int(p.mu > 0.5)\n"
@@ -300,6 +332,16 @@ def test_only_adaptive_integral_calls_the_finite_engine():
              if path.name != "quadrature.py"}
     assert {k: [f for f, _ in v] for k, v in calls.items() if v} == {
         "density.py": ["adaptive_integral"]}
+
+
+def test_only_density_and_weight_import_quadrature():
+    # the v-table's panels are density's business and the u-grid's
+    # weight's; the other modules reach both through their public calls
+    offenders = {path.name: imports_from(path.read_text(), "quadrature")
+                 for path in sorted(PACKAGE_DIR.glob("*.py"))
+                 if path.name not in ("density.py", "weight.py",
+                                      "quadrature.py")}
+    assert {k: v for k, v in offenders.items() if v} == {}
 
 
 def test_no_private_attribute_reads_between_modules():

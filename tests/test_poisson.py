@@ -36,6 +36,7 @@ from gbm_hitfun.density import (
     table_integral,
     tail_constant,
 )
+from gbm_hitfun.errors import DomainError
 from gbm_hitfun.poisson import (
     PoissonParams,
     cauchy_kernel,
@@ -125,12 +126,27 @@ def fourier_kernel_n4(mu: float, x: float, rho: float) -> float:
     return val / (2.0 * math.pi ** 2)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+# at mu = 1/2 the kernel w is empty and l_terms = 0: the lead term alone
+# is the Cauchy density (3.3e-16 apart at most)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_closed_route_is_cauchy_at_half_drift(n):
     model = ModelParams(0.5, 2.0)
     for rho in (0.0, 1.5, 12.0):
         got = kernel_closed(PoissonParams(n, model, rho))
-        assert got == cauchy_kernel(n, model.lam, rho)
+        assert got == pytest.approx(cauchy_kernel(n, model.lam, rho),
+                                    rel=1e-15, abs=0.0)
+
+
+# within is_half_integer's tolerance of 1/2 the kernel is still empty;
+# the lead term's x^{mu-1/2} moves the value by about 7e-14
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mu", [0.5 - 1e-13, 0.5 + 1e-13])
+def test_closed_route_next_to_half_drift_is_cauchy(mu, n):
+    model = ModelParams(mu, 2.0)
+    for rho in (0.0, 1.5, 12.0):
+        got = kernel_closed(PoissonParams(n, model, rho))
+        assert got == pytest.approx(cauchy_kernel(n, model.lam, rho),
+                                    rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.5, 4.0])
@@ -190,6 +206,41 @@ def test_kernel_tail_matches_closed_constant(mu, n, rel):
     assert tail.value == pytest.approx(want, rel=rel)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_driftless_kernel_tail_is_closed(n):
+    x, a = 2.0, 0.5 * (n - 1.0)
+    tail = kernel_tail(PoissonParams(n, ModelParams(0.0, x), 0.0))
+    assert tail.regime == "log"
+    assert tail.value == pytest.approx(
+        math.log(x) * sp.gamma(a) / (2.0 * math.pi ** a), rel=1e-14, abs=0.0)
+
+
+def test_driftless_plane_kernel_meets_log_tail_constant():
+    # independent of the closed constant: rho log^2 rho P(rho) fitted by a
+    # quintic in 1/log rho over rho = 1e12 ... 1e30 (2.4e-7 off)
+    model = ModelParams(0.0, 2.0)
+    rhos = 10.0 ** np.arange(12.0, 31.0)
+    g = [math.log(r) ** 2 * r * kernel_closed(PoissonParams(2, model, r))
+         for r in rhos]
+    limit = np.polyfit(1.0 / np.log(rhos), g, 5)[-1]
+    assert limit == pytest.approx(
+        kernel_tail(PoissonParams(2, model, 0.0)).value, rel=1e-5, abs=0.0)
+
+
+# past a large cut the kappa-moment tails met 0 * inf (NaN at rho = 1e15,
+# (9.3, 1.5)) and Python's OverflowError; now the far kernel is finite
+# or raises DomainError
+@pytest.mark.parametrize("mu,x", [(3.7, 2.0), (5.3, 2.0), (7.0, 2.0),
+                                  (9.3, 1.5), (9.3, 3.0)])
+def test_far_plane_kernel_is_finite_or_raises_domain_error(mu, x):
+    for rho in (1e14, 1e15, 1e20, 1e30, 1e45, 1e60):
+        try:
+            got = kernel_closed(PoissonParams(2, ModelParams(mu, x), rho))
+        except DomainError:
+            continue
+        assert math.isfinite(got), rho
+
+
 # with kernel_closed's arguments the adaptive integrator gives the n >= 3
 # bracket the table integrator gives where both far parts vanish (2e-15
 # to 7.4e-11 apart here); they part by 2e-7 at (mu, n, rho) = (0.3, 4, 2)
@@ -212,8 +263,9 @@ def test_adaptive_and_table_integrals_agree(mu, n, rho):
     got = adaptive_integral(ev, c0, f0, coefs, min(1, ev.l_terms), 0.5,
                             max(80.0 * (1.0 + lam), 40.0 * sq), splits,
                             1e-11, 1200)
-    want = table_integral(ev.table, np.array([c0]), f0, coefs,
-                          lambda j: 0.5, ev.l_terms)[0][0]
+    # reach 4 adds no panel: z at the table's top is above 1e14 here
+    want = table_integral(ev, np.array([c0]), f0, coefs, lambda j: 0.5,
+                          4.0)[0][0]
     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
