@@ -213,8 +213,9 @@ def table_integral(ev: DensityEvaluator, sigma: np.ndarray, f0, coefs,
 
         val[rows], norm[rows] = at(l, rows)
         if l > 1:
-            # R_{l-1}'s summands have an l1 norm >= P - norm, P = sum
-            # |W w c_l| (kappa/sigma)^l; where P >= 2 norm, l is least
+            # R_{l-1}'s summands have l1 norm >= P - norm, P = sum |W w c_l|
+            # (kappa/sigma)^l; l is least at norm = 0 and where P >= 2 norm
+            rows = rows[norm[rows] > 0.0]
             lk = l * np.log(kap)
             log_p = (np.log(np.abs(wt) @ np.exp(lk - lk.max())) + lk.max()
                      - l * np.log(sigma[rows]) + math.log(abs(coefs[l])))
@@ -463,7 +464,9 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
     far part 2 sqrt(T) (R + c_0) = -sqrt(pi) (lam + v) is two moments.
     From s = kappa/4T = 0.1 on, R_l still cancels to s^{l+1}/(l+1)!, so
     at high drift digits are lost: relative 6.5e-8 at (mu, x, T) =
-    (5.3, 2, 60), 3.6e-7 at (7, 2, 5) and 3.1e-2 at (7, 2, 60).
+    (5.3, 2, 60), 3.6e-7 at (7, 2, 5) and 3.1e-2 at (7, 2, 60).  At
+    (9.3, 2) it returns 4.0e-18 at T = 60, where Talbot inversion gives
+    4.0e-23, and is 4.6e-3 off at T = 600 (ROADMAP item 1 mends both).
     """
     if not np.isfinite(big_t) or big_t < 0.0:
         raise DomainError("survival defined for finite T >= 0")

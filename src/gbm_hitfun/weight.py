@@ -11,17 +11,17 @@ an explicit prefactor plus an integral against a kernel w_lam on
   Bessel-product ratio; coef carries cos(pi mu), so w2 vanishes when
   mu - 1/2 is a nonnegative integer.
 
-A fixed composite Gauss-Legendre u-grid makes w2 a sum of amp_k
-e^{-u_k v} (an empty sum at half-integer mu) plus an origin piece, the
-small-u law of h integrated below the grid.  So both parts are mode
-sets a e^{z v}, Re z < 0, and every functional of w taken here (values,
-the power-moment tails int_vcut^infty v^p w dv, the Laplace transform
-of the tail mass) has one closed form per mode, used by both sets, plus
-the origin piece's own.  Integrating the exponentials in v first leaves
-sums of one sign per set, which is how the moments reach near machine
-accuracy.  The density's direct route gets its erfcx-weighted integral
-over a short Gauss rule in log u (32-128 nodes), built on first use,
-together with a bound on its error.
+A composite Gauss-Legendre u-grid, ended where the mass of h u ends,
+makes w2 a sum of amp_k e^{-u_k v} (an empty sum at half-integer mu)
+plus an origin piece, the small-u law of h integrated below the grid.
+So both parts are mode sets a e^{z v}, Re z < 0, and every functional
+of w taken here (values, the power-moment tails int_vcut^infty v^p w
+dv, the Laplace transform of the tail mass) has one closed form per
+mode, used by both sets, plus the origin piece's own.  Integrating the
+exponentials in v first leaves sums of one sign per set, which is how
+the moments reach near machine accuracy.  The density's direct route
+gets its erfcx-weighted integral over a short Gauss rule in log u
+(32-128 nodes), built on first use, together with a bound on its error.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def _modes_tail_laplace(amp, rate, r) -> np.ndarray:
 # continuous part
 
 #: shared u-grid parameters for the tabulated kernel: geometric panels
-#: below u = 1 resolve the u^{2 mu + 1} origin behaviour of the
-#: integrand h(u) u for any mu <= 10, fixed-width panels above resolve
-#: the resonance peaks, and e^{-2u} is below double noise at U_MAX.
+#: below u = 1 resolve the u^{2 mu + 1} origin behaviour of h(u) u for
+#: any mu <= 10, fixed-width panels above resolve the resonance peaks,
+#: and the grid is cut back from U_MAX where its mass ends (u = 19.6-26.3).
 _U_MIN = 1e-12
 _U_MAX = 45.0
 _PANEL_PTS = 16
@@ -329,16 +329,17 @@ class _ContinuousKernel:
                     mu, x, self.u_lo)
         self.origin_steps = 2.0 * mu * np.arange(self.origin_coefs.size)
         # w2(v) = sum_k amp_k e^{-v u_k} + the origin piece
-        self.amp = self.coef * wts * _h_values(mu, x, self.u) * self.u
-        # the erfcx product runs over the live nodes: each end of the grid
-        # drops its longest run of nodes holding at most 1e-20 of sum |amp|
-        # (drop_lo the mass dropped at small u)
-        mass = np.abs(self.amp)
+        amp = self.coef * wts * _h_values(mu, x, self.u) * self.u
+        # each end of the grid drops its longest run of nodes holding at
+        # most 1e-20 of sum |amp|: the top run leaves the grid, as each
+        # term has coef's sign and falls with u in every functional taken
+        # here; the bottom run leaves the erfcx product (drop_lo its mass)
+        mass = np.abs(amp)
         cut = 1e-20 * mass.sum()
         lo, top = (int(np.searchsorted(np.cumsum(m), cut, side="right"))
                    for m in (mass, mass[::-1]))
-        self.live = slice(lo, self.u.size - top)
-        self.drop_lo = float(mass[:lo].sum())
+        self.u, self.amp = self.u[:self.u.size - top], amp[:amp.size - top]
+        self.live, self.drop_lo = slice(lo, None), float(mass[:lo].sum())
 
     @functools.cached_property
     def rule(self) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -534,10 +535,9 @@ class WLambdaRep:
         so S is evaluated without overflow at any t.  The rule is off
         the product over the grid's live nodes by up to its deviation
         dev relative to the whole continuous part, measured at 40 t when
-        it was built.  The nodes cut above the live range change that
-        product by at most 1e-20 relative; those cut below add at most
-        cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L their |amp|
-        mass.  err = cut + dev |S|.
+        it was built.  The grid ends where its mass does, and the nodes
+        cut below the live range add at most cut = sqrt(pi t) D_L
+        erfcx(lam / 2 sqrt t), D_L their |amp| mass.  err = cut + dev |S|.
         """
         ts = np.asarray(ts, dtype=float)
         lam = self.params.lam
@@ -549,9 +549,6 @@ class WLambdaRep:
             # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
             c = lam - 2.0 * ts * z
             out += (a * sp.wofz(0.5j * c / sq)).real * (_SQRT_PI * sq)
-        # every term has the sign of coef (h >= 0, W_k > 0) and erfcx
-        # decreases on [0, inf), so the nodes dropped at large u add at
-        # most D_H / sum_kept |amp| <= 1e-20 of the kept sum at every t
         kern = self._kernel
         u, amp, dev = kern.rule
         # in place: fresh temporaries here take up to 1.8x the time
