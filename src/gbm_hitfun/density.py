@@ -250,11 +250,12 @@ def far_integral(ev: DensityEvaluator, top: float, f, scale: float) -> float:
 
 def adaptive_integral(ev: DensityEvaluator, sigma: float, f0, coefs,
                       j: int, switch: float, v_hi: float, splits,
-                      rel_tol: float, budget: int) -> float:
+                      rel_tol: float, budget: int) -> Tuple[float, list]:
     """:func:`table_integral`'s adaptive sibling at one scale sigma:
     int_0^v_hi w(v) R_j(kappa/sigma) dv - sum_{i <= j} c_i T_i sigma^{-i},
     R_j = taylor_remainder(f0, coefs, ., j, switch), T_i = int_v_hi^infty
-    kappa^i w dv; the far part int_v_hi^infty w f dv is the caller's.
+    kappa^i w dv, and the list of the T_i; the far part
+    int_v_hi^infty w f dv is the caller's, which may reuse them.
 
     Gauss-Kronrod to rel_tol (absolute 1e-300) within `budget`
     subdivisions from the splits in (0, v_hi).  It drops `converged`:
@@ -266,9 +267,9 @@ def adaptive_integral(ev: DensityEvaluator, sigma: float, f0, coefs,
             f0, coefs, v * (2.0 * ev.params.lam + v) / sigma, j, switch)
 
     spec = QuadratureSpec(1e-300, rel_tol, budget, splits)
+    tails = [w_kappa_moment_tail(ev.w, i, v_hi) for i in range(j + 1)]
     return integrate_finite(integrand, 0.0, v_hi, spec).value - sum(
-        float(coefs[i]) * w_kappa_moment_tail(ev.w, i, v_hi) / sigma ** i
-        for i in range(j + 1))
+        float(coefs[i]) * tails[i] / sigma ** i for i in range(j + 1)), tails
 
 
 # ---------------------------------------------------------------------
@@ -326,6 +327,17 @@ def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     return _prefactor(p.lam, ts) * j_val
 
 
+def _at_points(f, t, what: str):
+    """f over the points of t, flattened, each finite and > 0 or
+    DomainError(what): scalar in, scalar out; any array shape
+    otherwise."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
+        raise DomainError(what)
+    out = f(arr.reshape(-1)).reshape(arr.shape)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 def q_density(ev: DensityEvaluator, t):
     """Density of the stopped functional at time(s) t > 0.
 
@@ -345,20 +357,17 @@ def q_density(ev: DensityEvaluator, t):
     Nonnegative up to roundoff, integrates to one, and its Laplace
     transform matches :func:`laplace_ratio`.
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError("density defined for finite t > 0")
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    direct = flat <= ev.t_switch
-    if direct.any():
-        vals, loss = _q_direct_with_loss(ev, flat[direct])
-        out[direct] = vals
-        direct[direct] = loss <= _DIRECT_LOSS_TOL
-    if not direct.all():
-        out[~direct] = _q_table(ev, flat[~direct])
-    out = out.reshape(arr.shape)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    def curve(ts):
+        out = np.empty_like(ts)
+        direct = ts <= ev.t_switch
+        if direct.any():
+            out[direct], loss = _q_direct_with_loss(ev, ts[direct])
+            direct[direct] = loss <= _DIRECT_LOSS_TOL
+        if not direct.all():
+            out[~direct] = _q_table(ev, ts[~direct])
+        return out
+
+    return _at_points(curve, t, "density defined for finite t > 0")
 
 
 # ---------------------------------------------------------------------
@@ -374,12 +383,9 @@ def dufresne_density(mu: float, t):
     """
     if not (mu > 0.0) or not np.isfinite(mu):
         raise DomainError("limit functional requires mu > 0")
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError("density defined for finite t > 0")
-    out = (2.0 ** (-2.0 * mu) * np.exp(-0.25 / arr)
-           / (gamma_fn(mu) * arr ** (1.0 + mu)))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _at_points(lambda a: 2.0 ** (-2.0 * mu) * np.exp(-0.25 / a)
+                      / (gamma_fn(mu) * a ** (1.0 + mu)),
+                      t, "density defined for finite t > 0")
 
 
 def laplace_ratio(mu: float, x: float, r):
@@ -394,13 +400,9 @@ def laplace_ratio(mu: float, x: float, r):
         raise DomainError("drift parameter must satisfy mu >= 0")
     if not (x > 1.0) or not np.isfinite(x):
         raise DomainError("starting point must satisfy x > 1")
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError("transform defined for r > 0")
-    lam = x - 1.0
-    out = (x ** mu * sp.kve(mu, x * arr) / sp.kve(mu, arr)
-           * np.exp(-lam * arr))
-    return float(out[0]) if np.ndim(r) == 0 else out
+    return _at_points(lambda a: x ** mu * sp.kve(mu, x * a) / sp.kve(mu, a)
+                      * np.exp(-(x - 1.0) * a),
+                      r, "transform defined for r > 0")
 
 
 def laplace_of_density(ev: DensityEvaluator, r: float) -> float:
@@ -488,10 +490,10 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
         splits += tuple(geometric_edges(10.0 * (1.0 + lam), 0.5 * sq)[1:-1])
     # s = 0.1 (kappa = 0.4 T) stays while perfbench pins its loss;
     # s <= (l + 1)/2 mends it
-    near = adaptive_integral(ev, 4.0 * big_t, closed, coefs, ev.l_terms,
-                             0.1, v_hi, splits, 1e-10, 768)
-    far = -_SQRT_PI * (lam * w_power_moment_tail(ev.w, 0, v_hi)
-                       + w_power_moment_tail(ev.w, 1, v_hi))
+    near, tails = adaptive_integral(ev, 4.0 * big_t, closed, coefs,
+                                    ev.l_terms, 0.1, v_hi, splits, 1e-10, 768)
+    # kappa^0 = v^0: the completion's T_0 is the far part's zeroth moment
+    far = -_SQRT_PI * (lam * tails[0] + w_power_moment_tail(ev.w, 1, v_hi))
     return lam / _SQRT_PI * (lead + 2.0 * sq * near + far)
 
 

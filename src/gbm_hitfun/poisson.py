@@ -140,7 +140,7 @@ def kernel_closed(p: PoissonParams) -> float:
             ev, c0, lambda y: np.expm1(-m * np.log1p(y)), _binomial_coefs(m),
             min(1, ev.l_terms), 0.5, max(80.0 * (1.0 + lam), 40.0 * sq),
             (0.5, 1.0 + lam, 5.0 * (1.0 + lam), 20.0 * (1.0 + lam),
-             0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)
+             0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)[0]
     if ev.l_terms == 0:
         bracket += lead * x ** (mu - 0.5) / c0
     return gam * lam / (2.0 * math.pi ** (0.5 * n)) * c0 ** (-m) * bracket

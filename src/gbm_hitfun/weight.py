@@ -6,7 +6,8 @@ an explicit prefactor plus an integral against a kernel w_lam on
 [0, infinity).  The kernel splits into
 
 * a discrete part w1 = sum A_i e^{z_i v} over the zeros z_i of K_mu
-  (empty for mu < 3/2), and
+  (empty for mu < 3/2), taken as the real part of one mode 2 A_i
+  e^{z_i v} per conjugate pair of zeros, and
 * a continuous part w2 = coef int h(u) u e^{-u v} du, h >= 0 a
   Bessel-product ratio; coef carries cos(pi mu), so w2 vanishes when
   mu - 1/2 is a nonnegative integer.
@@ -17,11 +18,12 @@ plus an origin piece, the small-u law of h integrated below the grid.
 So both parts are mode sets a e^{z v}, Re z < 0, and every functional
 of w taken here (values, the power-moment tails int_vcut^infty v^p w
 dv, the Laplace transform of the tail mass) has one closed form per
-mode, used by both sets, plus the origin piece's own.  Integrating the
-exponentials in v first leaves sums of one sign per set, which is how
-the moments reach near machine accuracy.  The density's direct route
-gets its erfcx-weighted integral over a short Gauss rule in log u
-(32-128 nodes), built on first use, together with a bound on its error.
+mode, one array product's real part over either set, plus the origin
+piece's own.  Integrating the exponentials in v first leaves sums of
+one sign per set, which is how the moments reach near machine
+accuracy.  The density's direct route gets its erfcx-weighted integral
+over a short Gauss rule in log u (32-128 nodes), built on first use,
+together with a bound on its error.
 """
 
 from __future__ import annotations
@@ -124,46 +126,42 @@ def h_mu_lambda(u, params: ModelParams):
 
 def _discrete_modes(params: ModelParams,
                     zeros: KZeroSet) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficients A_i and rates z_i of w1(v) = sum A_i e^{z_i v}.
-
-    A_i = -(x^mu/lam) z_i e^{lam z_i} K_mu(x z_i) / K_{mu-1}(z_i).  For
-    half-integer orders the K-ratio is taken through the reversed
-    Bessel polynomials, which cancels the branch-sensitive square-root
-    and exponential factors exactly:
+    """(amp, rate) of w1(v) = Re sum amp_i e^{rate_i v}, one mode per
+    conjugate pair of zeros of K_mu: rate holds the zeros with Im z >= 0
+    in the zero set's order, amp 2 A_i at a complex zero and the real
+    A_i at a real one, A_i = -(x^mu/lam) z_i e^{lam z_i} K_mu(x z_i)
+    / K_{mu-1}(z_i).  For half-integer orders the K-ratio is taken
+    through the reversed Bessel polynomials, which cancels the
+    branch-sensitive square-root and exponential factors exactly
+    (scipy's kv is up to 4.2e-12 off it at (9.5, 1.05)):
         e^{lam z} K_{m+1/2}(x z)/K_{m-1/2}(z)
             = x^{-1/2} theta_m(1/(x z)) / theta_{m-1}(1/z).
     """
     mu, x, lam = params.mu, params.x, params.lam
-    half = is_half_integer(mu)
-    m = int(round(mu - 0.5))
-    terms = []
-    # A_i on the closed upper half-plane only: the zero set is closed
-    # under conjugation bit for bit, so each lower zero takes the exact
-    # conjugate of its mirror's coefficient
-    for z in zeros.zeros:
-        if z.imag < 0.0:
-            continue
-        if half:
-            ratio = (x ** -0.5 * np.polyval(
-                reversed_bessel_theta(m)[::-1], 1.0 / (x * z))
-                / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
-        else:
-            # zeros of non-half-integer orders are strictly complex, so
-            # the principal branch is unambiguous
-            ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
-        a = -(x ** mu / lam) * z * ratio
-        if z.imag == 0.0:
-            terms.append((complex(a.real, 0.0), z))
-        else:
-            terms += [(a, z), (a.conjugate(), z.conjugate())]
-    # keep the zero set's order, by real and then imaginary part
-    terms.sort(key=lambda t: (t[1].real, t[1].imag))
-    return (np.array([a for a, _ in terms], dtype=complex),
-            np.array([z for _, z in terms], dtype=complex))
+    z = np.array([z for z in zeros.zeros if z.imag >= 0.0], dtype=complex)
+    # mu = 1/2 has no zeros, and no theta_{-1}
+    if z.size and is_half_integer(mu):
+        m = int(round(mu - 0.5))
+        ratio = (x ** -0.5 * np.polyval(
+            reversed_bessel_theta(m)[::-1], 1.0 / (x * z))
+            / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
+    else:
+        # zeros of non-half-integer orders are strictly complex, so the
+        # principal branch is unambiguous
+        ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
+    amp = -(x ** mu / lam) * z * ratio
+    return np.where(z.imag == 0.0, amp.real, 2.0 * amp), z
 
 
 # ---------------------------------------------------------------------
-# closed forms per mode a e^{z v}, Re z < 0, for both parts' mode sets
+# closed forms per mode a e^{z v}, Re z < 0, for both parts' mode sets;
+# the real part of each is the conjugate-closed sum
+
+def _modes_value(amp, rate, v) -> np.ndarray:
+    """sum over modes a e^{z v} at an array of v (any shape): one
+    product; the real part."""
+    return (np.exp(v[..., None] * rate) @ amp).real
+
 
 def _power_tail_weights(p: int, vcut: float) -> np.ndarray:
     """c_r = p!/r! vcut^r, r = 0..p: for s > 0,
@@ -392,7 +390,7 @@ class _ContinuousKernel:
         v = np.atleast_1d(np.asarray(v, dtype=float))
         if self.mu == 0.0:
             self._check_log_reach(np.max(v, initial=0.0))
-        return (np.exp(-v[:, None] * self.u[None, :]) @ self.amp
+        return (_modes_value(self.amp, -self.u, v)
                 + self.coef * self._origin(2.0 * self.mu + 2.0, v)[:, 0])
 
     def _check_log_reach(self, v: float):
@@ -500,8 +498,9 @@ class _ContinuousKernel:
 
 @dataclass(frozen=True, eq=False)  # equal and hashed by identity
 class WLambdaRep:
-    """Assembled kernel: the discrete modes (amp_i, rate_i) = (A_i, z_i)
-    and the continuous part's mode set with its origin piece.
+    """Assembled kernel: the discrete modes (amp, rate), one per
+    conjugate pair of zeros (see _discrete_modes), and the continuous
+    part's mode set with its origin piece.
 
     ``eval`` is exact to the working accuracy of the u-grid at every
     v >= 0: the discrete part is summed directly and the continuous
@@ -514,11 +513,8 @@ class WLambdaRep:
     _kernel: _ContinuousKernel = field(repr=False)
 
     def w1(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        acc = np.zeros(v.shape, dtype=complex)
-        for a, z in zip(self.amp, self.rate):
-            acc += a * np.exp(z * v)
-        return acc.real
+        """Discrete part on an array of v (any shape)."""
+        return _modes_value(self.amp, self.rate, np.asarray(v, dtype=float))
 
     def w2_exact(self, v) -> np.ndarray:
         """Continuous part on an array of v, at quadrature-grid accuracy."""
@@ -529,26 +525,26 @@ class WLambdaRep:
         e^{-kappa/4t} w(v) dv, kappa = v (2 lam + v), and a bound on its
         error.
 
-        Completing the square in v turns each discrete mode into a
-        Faddeeva value and the continuous part into a dot product of
-        erfcx over the kernel's short rule in log u; both stay bounded,
-        so S is evaluated without overflow at any t.  The rule is off
-        the product over the grid's live nodes by up to its deviation
-        dev relative to the whole continuous part, measured at 40 t when
-        it was built.  The grid ends where its mass does, and the nodes
-        cut below the live range add at most cut = sqrt(pi t) D_L
-        erfcx(lam / 2 sqrt t), D_L their |amp| mass.  err = cut + dev |S|.
+        Completing the square in v turns the discrete part into the real
+        part of a dot product of Faddeeva values with amp, and the
+        continuous part into a dot product of erfcx over the kernel's
+        short rule in log u; both stay bounded, so S is evaluated without
+        overflow at any t.  The rule is off the product over the grid's
+        live nodes by up to its deviation dev relative to the whole
+        continuous part, measured at 40 t when it was built.  The grid
+        ends where its mass does, and the nodes cut below the live range
+        add at most cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L their
+        |amp| mass.  err = cut + dev |S|.
         """
         ts = np.asarray(ts, dtype=float)
         lam = self.params.lam
         sq = np.sqrt(ts)
-        out = np.zeros_like(ts)
-        for a, z in zip(self.amp, self.rate):
-            # int_0^inf e^{z v} e^{-kappa/4t} dv
-            #   = sqrt(pi t) e^{c^2/4t} erfc(c / 2 sqrt t),  c = lam - 2 t z,
-            # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
-            c = lam - 2.0 * ts * z
-            out += (a * sp.wofz(0.5j * c / sq)).real * (_SQRT_PI * sq)
+        # int_0^inf e^{z v} e^{-kappa/4t} dv
+        #   = sqrt(pi t) e^{c^2/4t} erfc(c / 2 sqrt t),  c = lam - 2 t z,
+        # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
+        c = lam - 2.0 * ts[:, None] * self.rate
+        wz = sp.wofz(0.5j * c / sq[:, None])
+        out = (wz @ self.amp).real * (_SQRT_PI * sq)
         kern = self._kernel
         u, amp, dev = kern.rule
         # in place: fresh temporaries here take up to 1.8x the time

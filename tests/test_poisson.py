@@ -262,7 +262,7 @@ def test_adaptive_and_table_integrals_agree(mu, n, rho):
               0.3 * sq, sq, 3.0 * sq, 10.0 * sq)
     got = adaptive_integral(ev, c0, f0, coefs, min(1, ev.l_terms), 0.5,
                             max(80.0 * (1.0 + lam), 40.0 * sq), splits,
-                            1e-11, 1200)
+                            1e-11, 1200)[0]
     # reach 4 adds no panel: z at the table's top is above 1e14 here
     want = table_integral(ev, np.array([c0]), f0, coefs, lambda j: 0.5,
                           4.0)[0][0]

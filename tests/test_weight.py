@@ -18,6 +18,7 @@ past the reach of the u-grid, where w2 rests on the exact integral of
 the law below the grid.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,6 +27,11 @@ import pytest
 from scipy import integrate
 from scipy import special as sp
 
+from gbm_hitfun.bessel import (
+    is_half_integer,
+    k_zero_set,
+    reversed_bessel_theta,
+)
 from gbm_hitfun.errors import DomainError
 from gbm_hitfun.quadrature import (
     QuadratureSpec,
@@ -228,14 +234,39 @@ def test_w1_polynomial_decay():
     assert weighted[2] < weighted[0]
 
 
+def discrete_amplitude(mu: float, x: float, z: complex) -> complex:
+    """A = -(x^mu/lam) z e^{lam z} K_mu(x z)/K_{mu-1}(z) at one zero z of
+    K_mu, taken at z itself; at half-integer mu the K-ratio is
+    x^{-1/2} theta_m(1/(x z))/theta_{m-1}(1/z), m = mu - 1/2."""
+    lam = x - 1.0
+    if is_half_integer(mu):
+        m = int(round(mu - 0.5))
+        ratio = (x ** -0.5 * np.polyval(reversed_bessel_theta(m)[::-1],
+                                        1.0 / (x * z))
+                 / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
+    else:
+        ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
+    return -(x ** mu / lam) * z * ratio
+
+
 def test_discrete_terms_conjugate_pairs():
-    rep = build_w(ModelParams(2.2, 1.5))
-    assert rep.amp.size == rep.rate.size == 2
-    (a1, a2), (z1, z2) = rep.amp, rep.rate
-    assert z1 == z2.conjugate() and a1 == a2.conjugate()
-    v = np.linspace(0.0, 30.0, 61)
-    w1 = rep.w1(v)
-    assert w1.dtype == np.float64
+    # one mode per conjugate pair: rate holds the zero set's zeros with
+    # Im z >= 0, bit for bit and in its order, a real zero carries a real
+    # amplitude, and w1 = Re sum amp e^{rate v} meets the sum over every
+    # zero, lower ones included, of A_i e^{z_i v} within 8 ulp of the sum
+    # of |terms|
+    v = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 80)])
+    for mu, x in itertools.product((1.5, 2.2, 2.5, 3.5, 3.7, 7.0, 9.3, 9.5),
+                                   (1.05, 2.0, 10.0)):
+        rep = build_w(ModelParams(mu, x))
+        zeros = np.array(k_zero_set(mu).zeros, dtype=complex)
+        assert rep.rate.tobytes() == zeros[zeros.imag >= 0.0].tobytes()
+        assert np.all(rep.amp[rep.rate.imag == 0.0].imag == 0.0)
+        terms = (np.array([discrete_amplitude(mu, x, z) for z in zeros])
+                 * np.exp(v[:, None] * zeros))
+        err = np.abs(rep.w1(v) - terms.sum(axis=1).real)
+        assert np.all(err <= 8.0 * np.finfo(float).eps
+                      * np.abs(terms).sum(axis=1)), (mu, x)
 
 
 # ---------------------------------------------------------------------
@@ -658,18 +689,27 @@ def test_exp_weighted_integral_dense_in_t(mu, x):
 def test_exp_weighted_integral_with_an_empty_live_range():
     # at a half-integer drift the continuous part is an empty mode set:
     # its live range and rule are empty, with deviation 0, and S is the
-    # discrete part alone, with a zero error bound
-    rep = build_w(ModelParams(2.5, 2.0))
-    kern = rep._kernel
-    assert kern.u[kern.live].size == 0
-    assert kern.rule[0].size == 0 and kern.rule[2] == 0.0
+    # discrete part alone (one conjugate pair at 5/2; four pairs and a
+    # real zero at 19/2), with a zero error bound
     ts = np.geomspace(1e-2, 1e3, 50)
-    got, err = rep.exp_weighted_integral(ts)
-    assert np.array_equal(err, np.zeros(50))
-    empty = replace(rep, amp=np.empty(0), rate=np.empty(0))
-    assert np.array_equal(empty.exp_weighted_integral(ts)[0], np.zeros(50))
-    # the discrete part alone, mode by mode: sqrt(pi t) Re(A w(i c/2 sqrt t))
     sq = np.sqrt(ts)
-    want = sum((a * sp.wofz(0.5j * (1.0 - 2.0 * ts * z) / sq)).real
-               * (math.sqrt(math.pi) * sq) for a, z in zip(rep.amp, rep.rate))
-    assert np.array_equal(got, want)
+    for mu in (2.5, 9.5):
+        rep = build_w(ModelParams(mu, 2.0))
+        kern = rep._kernel
+        assert kern.u[kern.live].size == 0
+        assert kern.rule[0].size == 0 and kern.rule[2] == 0.0
+        got, err = rep.exp_weighted_integral(ts)
+        assert np.array_equal(err, np.zeros(50))
+        empty = replace(rep, amp=np.empty(0), rate=np.empty(0))
+        assert np.array_equal(empty.exp_weighted_integral(ts)[0],
+                              np.zeros(50))
+        # mode by mode in long double on the same Faddeeva values:
+        # sqrt(pi t) Re(a w(i c/2 sqrt t)), c = lam - 2 t z, within 4 ulp
+        # of the sum of |terms| (scipy's w itself is up to 17 ulp off a
+        # 30-digit value at 5/2, so the reference takes it as given)
+        terms = [np.clongdouble(a) * sp.wofz(0.5j * (1.0 - 2.0 * ts * z) / sq)
+                 * np.sqrt(np.longdouble(np.pi) * ts)
+                 for a, z in zip(rep.amp, rep.rate)]
+        want, size = sum(terms).real, sum(np.abs(terms))
+        assert np.all(np.abs(got - want)
+                      <= 4.0 * np.finfo(float).eps * size), mu
