@@ -11,7 +11,7 @@ where k_mu = mu - 1/2 when that is a nonnegative integer and otherwise
 the even integer closest to mu - 1/2; in particular no zeros at all for
 0 <= mu < 3/2.  The zeros are simple, never coincide with zeros of
 K_{mu-1}, and come in conjugate pairs plus, for odd k_mu, one real zero
-on the cut.
+on the cut; the zero set keeps one zero per pair, the one with Im z > 0.
 
 Zeros are found by continuation in the order.  At a half-integer order
 m + 1/2 they are the roots of z^m theta_m(1/z), a polynomial of degree
@@ -105,29 +105,19 @@ def reversed_bessel_theta(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KZeroSet:
-    """Zeros of K_mu in the left half-plane, conjugation-closed.
+    """Zeros of K_mu in the left half-plane, one per conjugate pair.
 
-    zeros are sorted by (real part, imaginary part); conjugate pairs are
-    constructed exactly so closure under conjugation holds bit for bit.
+    zeros holds the zeros with Im z >= 0, real zeros included, sorted by
+    (real part, imaginary part); the others are their conjugates.
     """
 
     order: float
     zeros: Tuple[complex, ...]
-    count: int
 
-    def __post_init__(self):
-        if self.count != len(self.zeros):
-            raise ZeroCountError(
-                f"count {self.count} != {len(self.zeros)} zeros stored")
-
-
-def _pair_and_sort(upper: np.ndarray, real_zeros: np.ndarray) -> Tuple[complex, ...]:
-    zs = [complex(z.real, 0.0) for z in np.sort(real_zeros.real)]
-    for z in upper:
-        zs.append(complex(z.real, abs(z.imag)))
-        zs.append(complex(z.real, -abs(z.imag)))
-    zs.sort(key=lambda z: (z.real, z.imag))
-    return tuple(zs)
+    @property
+    def count(self) -> int:
+        """Zeros in the cut plane: 2 per complex zero stored, 1 per real."""
+        return sum(1 if z.imag == 0.0 else 2 for z in self.zeros)
 
 
 def _newton_polish(nu: float, z: np.ndarray) -> np.ndarray:
@@ -150,22 +140,17 @@ def _newton_polish(nu: float, z: np.ndarray) -> np.ndarray:
         f"{_NEWTON_MAX_STEPS} steps", estimate=tuple(z))
 
 
-def _half_integer_zeros(m: int) -> Tuple[complex, ...]:
-    """Zeros of K_{m+1/2}."""
-    if m == 0:
-        return ()
+def _half_integer_zeros(m: int) -> np.ndarray:
+    """Zeros of K_{m+1/2} with Im z >= 0, m >= 1."""
     # z^m theta_m(1/z) is a degree-m polynomial in z with the same
     # nonzero roots as K_{m+1/2}
-    coeff = reversed_bessel_theta(m)
-    roots = np.roots(coeff)
-    roots = _newton_polish(m + 0.5, roots.astype(complex))
-    upper = roots[roots.imag > 1e-9]
-    real_zeros = roots[np.abs(roots.imag) <= 1e-9]
-    return _pair_and_sort(upper, real_zeros)
+    roots = _newton_polish(m + 0.5, np.roots(reversed_bessel_theta(m)))
+    roots = np.where(np.abs(roots.imag) <= 1e-9, roots.real, roots)
+    return roots[roots.imag >= 0.0]
 
 
-def _continued_zeros(mu: float, m: int) -> Tuple[complex, ...]:
-    """Zeros of K_mu, m = k_mu even, continued from the order m + 1/2.
+def _continued_zeros(mu: float, m: int) -> np.ndarray:
+    """Upper zeros of K_mu, m = k_mu even, continued from the order m + 1/2.
 
     The path runs through orders lo + d^(k/n), k = 1..n, with
     lo = m - 1/2 and d = mu - lo in (0, 2): equal steps in log(nu - lo).
@@ -182,8 +167,7 @@ def _continued_zeros(mu: float, m: int) -> Tuple[complex, ...]:
     ratio = d ** (1.0 / n)    # each step in nu is this times the last
     orders = lo + d ** (np.arange(1, n + 1) / n)
     orders[-1] = mu
-    seeds = _half_integer_zeros(m)
-    z = prev = np.array([s for s in seeds if s.imag > 0])
+    z = prev = _half_integer_zeros(m)
     for nu in orders:
         z, prev = _newton_polish(nu, z + ratio * (z - prev)), z
         if np.any(z.real >= 0.0) or np.any(z.imag <= 0.0):
@@ -195,11 +179,12 @@ def _continued_zeros(mu: float, m: int) -> Tuple[complex, ...]:
             raise ZeroCountError(
                 f"two continued zeros of K_{nu} landed within "
                 f"{_MIN_SEPARATION:g} of each other", estimate=tuple(z))
-    return _pair_and_sort(z, np.array([]))
+    return z
 
 
 def k_zero_set(mu: float) -> KZeroSet:
-    """All zeros of K_mu in the cut plane, for 0 <= mu <= ORDER_CAP.
+    """The zeros of K_mu in the cut plane with Im z >= 0, one per
+    conjugate pair, for 0 <= mu <= ORDER_CAP.
 
     At a half-integer order m + 1/2 (within is_half_integer's
     tolerance) the zeros are the roots of the reversed Bessel
@@ -207,11 +192,11 @@ def k_zero_set(mu: float) -> KZeroSet:
     K_{m+1/2}.  At any other order the count m is even and
     constant on (m - 1/2, m + 3/2) (DLMF 10.42), an interval holding
     both mu and m + 1/2; the m/2 upper-half-plane roots at m + 1/2 are
-    continued to mu in the order by Newton's method, and the conjugates
-    are added exactly.  The count is checked against the classical
-    rule; a mismatch, a Newton iteration that does not settle, a path
-    that leaves the upper-left quadrant, or two paths that meet raise
-    ZeroCountError with the zeros found so far attached.
+    continued to mu in the order by Newton's method.  The count is
+    checked against the classical rule; a mismatch, a Newton iteration
+    that does not settle, a path that leaves the upper-left quadrant,
+    or two paths that meet raise ZeroCountError with the zeros found so
+    far attached.
     """
     mu = _check_order(mu)
     if mu > ORDER_CAP:
@@ -221,11 +206,13 @@ def k_zero_set(mu: float) -> KZeroSet:
             "beyond it")
     expected = k_zero_count(mu)
     if expected == 0:
-        return KZeroSet(order=mu, zeros=(), count=0)
+        return KZeroSet(order=mu, zeros=())
     zeros = (_half_integer_zeros(expected) if is_half_integer(mu)
              else _continued_zeros(mu, expected))
-    if len(zeros) != expected:
+    found = KZeroSet(order=mu, zeros=tuple(sorted(
+        map(complex, zeros), key=lambda z: (z.real, z.imag))))
+    if found.count != expected:
         raise ZeroCountError(
-            f"found {len(zeros)} zeros of K_{mu}, expected {expected}",
-            estimate=zeros)
-    return KZeroSet(order=mu, zeros=zeros, count=expected)
+            f"found {found.count} zeros of K_{mu}, expected {expected}",
+            estimate=found.zeros)
+    return found

@@ -94,7 +94,8 @@ _POLY_S = 40.0
 
 @dataclass(frozen=True)
 class DensityEvaluator:
-    """Prepared state for density evaluations at fixed (mu, x).
+    """Prepared state for density evaluations: the kernel w, which fixes
+    params = (mu, x), and what derives from it.
 
     l_terms is the number of polynomial terms subtracted from the
     exponential inside the kernel integral: floor(mu + 1/2) in general
@@ -106,10 +107,21 @@ class DensityEvaluator:
     built on the first such point and kept for the evaluator's life.
     """
 
-    params: ModelParams
     w: WLambdaRep
-    l_terms: int
-    t_switch: float
+
+    @property
+    def params(self) -> ModelParams:
+        return self.w.params
+
+    @functools.cached_property
+    def l_terms(self) -> int:
+        mu = self.params.mu
+        return int(round(mu - 0.5) if is_half_integer(mu)
+                   else math.floor(mu + 0.5))
+
+    @functools.cached_property
+    def t_switch(self) -> float:
+        return 1e3 * max(1.0, self.params.lam ** 2)
 
     @functools.cached_property
     def _table(self):
@@ -123,15 +135,8 @@ class DensityEvaluator:
 
 
 def build_evaluator(params: ModelParams) -> DensityEvaluator:
-    """Assemble the kernel representation and the route switch time."""
-    mu = params.mu
-    if is_half_integer(mu):
-        l_terms = int(round(mu - 0.5))
-    else:
-        l_terms = int(math.floor(mu + 0.5))
-    return DensityEvaluator(params=params, w=build_w(params),
-                            l_terms=l_terms,
-                            t_switch=1e3 * max(1.0, params.lam ** 2))
+    """The evaluator on the kernel of params."""
+    return DensityEvaluator(build_w(params))
 
 
 # ---------------------------------------------------------------------

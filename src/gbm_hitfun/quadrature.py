@@ -1,19 +1,19 @@
-"""Adaptive quadrature engine shared by the analytic modules.
+"""Vectorized adaptive Gauss-Kronrod quadrature and fixed panel grids.
 
-Every integrand in this package is smooth away from isolated endpoint
-singularities and decays exponentially, but per-point evaluation is
-expensive unless batched: the Bessel-product kernels are far cheaper on
-one large grid than point by point.  ``scipy.integrate.quad`` is
-scalar-only, so we use a small vectorized Gauss-Kronrod scheme instead:
-each refinement pass evaluates the integrand once on the stacked nodes
-of all pending intervals.
-
-Finite intervals use the classic 7-15 Gauss-Kronrod pair with bisection
-of the intervals carrying the error.  Semi-infinite integrals run over
-geometrically widening panels; the caller asserts an exponential
-envelope |f(u)| <= M exp(-decay_rate*u), which is sampled to bound the
-discarded tail, and that bound is folded into the error estimate rather
-than added to the value.
+In the package only :func:`.density.adaptive_integral` runs the adaptive
+engine, through :func:`integrate_finite`, for the kernel integrals not
+yet on the density's v-table; :func:`integrate_semi_infinite` serves the
+tests' oracles.  The integrands are smooth away from isolated endpoint
+singularities but need not decay fast (w falls like v^{-(2 mu + 2)};
+callers complete their cut in closed form), and far cheaper in batches
+than point by point.  ``scipy.integrate.quad`` is scalar-only, so each
+refinement pass evaluates the integrand once on the stacked nodes of
+all pending intervals: the 7-15 Gauss-Kronrod pair, bisecting the
+intervals that carry the error.  Semi-infinite integrals run over
+geometrically widening panels under an exponential envelope |f(u)| <=
+M exp(-decay_rate*u) that the caller asserts, sampled to bound the
+discarded tail, which goes into the error estimate, not the value.
+Fixed composite Gauss-Legendre panels carry the u-grid and v-table.
 """
 
 from __future__ import annotations

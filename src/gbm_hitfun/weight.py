@@ -127,8 +127,8 @@ def h_mu_lambda(u, params: ModelParams):
 def _discrete_modes(params: ModelParams,
                     zeros: KZeroSet) -> Tuple[np.ndarray, np.ndarray]:
     """(amp, rate) of w1(v) = Re sum amp_i e^{rate_i v}, one mode per
-    conjugate pair of zeros of K_mu: rate holds the zeros with Im z >= 0
-    in the zero set's order, amp 2 A_i at a complex zero and the real
+    conjugate pair of zeros of K_mu: rate is the zero set's zeros (those
+    with Im z >= 0) as stored, amp 2 A_i at a complex zero and the real
     A_i at a real one, A_i = -(x^mu/lam) z_i e^{lam z_i} K_mu(x z_i)
     / K_{mu-1}(z_i).  For half-integer orders the K-ratio is taken
     through the reversed Bessel polynomials, which cancels the
@@ -138,7 +138,7 @@ def _discrete_modes(params: ModelParams,
             = x^{-1/2} theta_m(1/(x z)) / theta_{m-1}(1/z).
     """
     mu, x, lam = params.mu, params.x, params.lam
-    z = np.array([z for z in zeros.zeros if z.imag >= 0.0], dtype=complex)
+    z = np.array(zeros.zeros, dtype=complex)
     # mu = 1/2 has no zeros, and no theta_{-1}
     if z.size and is_half_integer(mu):
         m = int(round(mu - 0.5))
@@ -267,19 +267,26 @@ def _origin_coefs(mu: float, x: float,
     mu >= 1, rho is below u^2 and S stands alone.  Also returned:
     B = S sum_{k >= K} (k + 1) rho(u_lo)^k; below u_lo, B u^{2 mu}
     bounds the terms left out after the K kept, since |U_k| <= k + 1.
+    As mu -> 0, S and (1 - rho)^2 fall like mu^2 and B tends to
+    S/(1 - rho)^2 (9.0e-4 at x = 2), taken as a product of ratios of
+    order one so that nothing underflows down to the smallest normal mu
+    (to about 4 % below mu = 1e-15, where 1 +- mu rounds in log Gamma).
     """
-    scale = (x ** mu * 2.0 ** (1.0 - 2.0 * mu) * (1.0 - x ** (-2.0 * mu))
-             / (gamma_fn(mu) * gamma_fn(mu + 1.0)))
+    lead = x ** mu * 2.0 ** (1.0 - 2.0 * mu) / gamma_fn(mu + 1.0)
+    small = -math.expm1(-2.0 * mu * math.log(x))    # 1 - x^{-2 mu}
+    scale = lead * small / gamma_fn(mu)
     if mu >= 1.0:
         return np.array([scale]), 0.0
     g = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) / gamma_fn(1.0 + mu)
     rho = g * u_lo ** (2.0 * mu)
+    gap = -math.expm1(2.0 * mu * math.log(0.5 * u_lo)     # 1 - rho
+                      + sp.gammaln(1.0 - mu) - sp.gammaln(1.0 + mu))
     k = np.arange(_ORIGIN_TERMS)
     k = k[(k + 1.0) * rho ** k > 1e-17]
     theta = 2.0 * math.pi * mu
     n = k.size
-    cut = scale * rho ** n * ((n + 1.0) / (1.0 - rho)
-                              + rho / (1.0 - rho) ** 2)
+    cut = (lead * (small / gap) / (gamma_fn(mu) * gap) * rho ** n
+           * ((n + 1.0) * gap + rho))
     return scale * np.sin((k + 1) * theta) / math.sin(theta) * g ** k, cut
 
 
@@ -447,7 +454,7 @@ class _ContinuousKernel:
         """
         mu, x, eps = self.mu, self.x, self.u_lo
         if mu > 0.0:
-            return self._origin([2.0 * mu + (r - p) + 1.0
+            return self._origin([2.0 * mu + (r - p + 1)
                                  for r in range(p + 1)], vcut)[0]
         self._check_log_reach(vcut)
         # mu = 0: h ~ log(x) / (L^2 + pi^2), L = log(2/u) - gamma
@@ -471,7 +478,7 @@ class _ContinuousKernel:
         if self.origin_cut > 0.0:
             # the terms the small-u law leaves out move the piece below
             # u_lo of each u^{r-p} term by at most B u_lo^a / (a + 2 mu K)
-            a = 2.0 * self.mu + 1.0 + np.arange(p + 1.0) - p
+            a = 2.0 * self.mu + np.arange(1.0 - p, 2.0)
             cut = abs(self.coef) * self.origin_cut * (weights @ (
                 self.u_lo ** a / (a + 2.0 * self.mu * self.origin_coefs.size)))
             if cut > 1e-11:
@@ -596,6 +603,8 @@ def build_w(params: ModelParams) -> WLambdaRep:
 
 def _power_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
     """integral of v^p w(v) dv over [vcut, infinity), exactly."""
+    if not 0.0 <= vcut < math.inf:
+        raise DomainError(f"vcut must be finite and >= 0, got {vcut}")
     return (_modes_power_tail(rep.amp, rep.rate, p, vcut)
             + rep._kernel.w2_tail_power_moment(p, vcut))
 
@@ -619,8 +628,6 @@ def w_kappa_moment_tail(rep: WLambdaRep, m: int, vcut: float) -> float:
     complete truncated v-integrals without losing relative accuracy
     (all terms carry one sign).
     """
-    if vcut < 0:
-        raise DomainError("vcut must be >= 0")
     if m < 0 or m != int(m):
         raise DomainError("moment order must be a nonnegative integer")
     m = int(m)
@@ -643,8 +650,6 @@ def w_power_moment_tail(rep: WLambdaRep, p: int, vcut: float) -> float:
     logarithmically and the swapped integral picks the limit up
     analytically.
     """
-    if vcut < 0:
-        raise DomainError("vcut must be >= 0")
     if p < 0 or p != int(p):
         raise DomainError("power must be a nonnegative integer")
     return _power_tail(rep, int(p), vcut)

@@ -28,9 +28,10 @@ below), and the closed kernel moment identities against a variant that
 integrates the moments numerically (``q_density_basic``).
 """
 
+import itertools
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -43,6 +44,7 @@ from scipy import stats as sstats
 
 from gbm_hitfun import density, poisson, weight
 from gbm_hitfun.density import (
+    DensityEvaluator,
     TailConstant,
     _q_direct_with_loss,
     _q_table,
@@ -244,6 +246,20 @@ def test_switch_time_default():
     assert ev_for(1.0, 5.0).t_switch == 1e3 * 16.0
 
 
+def test_evaluator_holds_only_its_kernel():
+    # params, l_terms and t_switch are read off the kernel, by the
+    # formulas the evaluator once stored beside it
+    assert [f.name for f in fields(DensityEvaluator)] == ["w"]
+    for mu, x in itertools.product((0.0, 0.5 - 1e-13, 0.5 + 1e-13, 1.2, 2.5,
+                                    9.3), (1.05, 2.0, 10.0)):
+        ev = build_evaluator(ModelParams(mu, x))
+        assert ev.params is ev.w.params == ModelParams(mu, x)
+        half = abs(mu - 0.5 - round(mu - 0.5)) <= 1e-12
+        assert ev.l_terms == int(round(mu - 0.5) if half
+                                 else math.floor(mu + 0.5))
+        assert ev.t_switch == 1e3 * max(1.0, (x - 1.0) ** 2)
+
+
 # ---------------------------------------------------------------------
 # Taylor-remainder primitive
 
@@ -364,13 +380,22 @@ def test_density_domain_errors():
         q_density(ev, np.array([1.0, -2.0]))
 
 
+# from the smallest drift ModelParams accepts (subnormal ones raise) up
+# to drifts where the small-u law of h is cut short
+_TINY_DRIFTS = (2.2250738585072014e-308, 1e-300, 1e-20, 1e-17, 1e-10, 1e-4)
+
+
 def test_smallest_normal_drift_matches_mu_zero():
-    # the smallest drift ModelParams accepts; subnormal ones raise
-    ts = np.array([0.1, 1.0, 10.0])
-    tiny = q_density(build_evaluator(ModelParams(2.2250738585072014e-308,
-                                                 2.0)), ts)
-    assert tiny == pytest.approx(q_density(ev_for(0.0, 2.0), ts),
-                                 rel=1e-11, abs=0.0)
+    # built without a warning; q moves off mu = 0 by about mu relative
+    # (6.9e-5 at mu = 1e-4), and by 7.4e-11 at most below that
+    ts = np.array([0.1, 1.0, 10.0, 5e3, 1e5, 1e6])
+    want = q_density(ev_for(0.0, 2.0), ts)
+    for mu in _TINY_DRIFTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = ev_for(mu, 2.0)
+        assert q_density(ev, ts) == pytest.approx(
+            want, rel=max(1e-10, mu), abs=0.0), mu
 
 
 def test_density_shape_passthrough():
@@ -855,11 +880,13 @@ def test_total_mass_is_one_at_small_drift(mu, x):
 def test_total_mass_raises_where_the_small_u_law_is_cut():
     # below mu of about 0.00095 the 400 terms kept of the small-u law of
     # h leave out more than 1e-11 of the first moment (1 - 2.6e-3 at
-    # mu = 1e-4); the moment comes with the error
-    with pytest.raises(ConvergenceError) as info:
-        total_mass(ev_for(1e-4, 2.0))
-    assert info.value.err_est > 1e-11
-    assert info.value.estimate is not None
+    # mu = 1e-4); the moment comes with the error, also at the smallest
+    # drifts, where the bound on the terms left out tends to a limit
+    for mu in _TINY_DRIFTS:
+        with pytest.raises(ConvergenceError) as info:
+            total_mass(ev_for(mu, 2.0))
+        assert info.value.err_est > 1e-11
+        assert np.isfinite(info.value.estimate), mu
 
 
 def normalization_check(ev) -> float:
@@ -947,25 +974,68 @@ def test_survival_positive_far_in_high_drift_tail():
     assert val == pytest.approx(2.0284383934089e-32, rel=1e-2, abs=0.0)
 
 
-# survival_talbot at (mu, x, T) = (0, 1.5, 0.05) and (0, 3, 0.05), as
-# printed by repr(survival_talbot(0.0, x, 0.05)) with mpmath 1.3.0; each
-# takes 50-56 s to recompute on a shared 2-vCPU machine, about 40 % of
-# the whole test run, so they are kept as literals
-_SURVIVAL_TALBOT_SLOW = {(0.0, 1.5, 0.05): 0.9065670208262838,
-                         (0.0, 3.0, 0.05): 0.9999999998528071}
+# survival_talbot at the sweep's (mu, x, T), each printed by
+# repr(survival_talbot(mu, x, T)) with mpmath 1.3.0; recomputing the 40
+# takes about 64 s on a shared 2-vCPU machine, 50-56 s of it at
+# (0, 1.5, 0.05) and (0, 3, 0.05), so they are kept as literals
+_SURVIVAL_TALBOT = {
+    (0.0, 1.5, 0.05): 0.9065670208262838,
+    (0.0, 1.5, 5.0): 0.25418115440011013,
+    (0.0, 1.5, 50.0): 0.15737069214863195,
+    (0.0, 1.5, 10000.0): 0.07944353057592408,
+    (0.0, 3.0, 0.05): 0.9999999998528071,
+    (0.0, 3.0, 5.0): 0.6682059322603794,
+    (0.0, 3.0, 50.0): 0.42544600121369774,
+    (0.0, 3.0, 10000.0): 0.215251826599326,
+    (0.3, 1.5, 0.05): 0.8946763817001055,
+    (0.3, 1.5, 5.0): 0.1710740783968352,
+    (0.3, 1.5, 50.0): 0.07398128964414694,
+    (0.3, 1.5, 10000.0): 0.013231124805704595,
+    (0.3, 3.0, 0.05): 0.9999999997956289,
+    (0.3, 3.0, 5.0): 0.5529305627350513,
+    (0.3, 3.0, 50.0): 0.24956223008123227,
+    (0.3, 3.0, 10000.0): 0.04482827563598963,
+    (1.2, 1.5, 0.05): 0.8524305675529482,
+    (1.2, 1.5, 5.0): 0.03201607835447549,
+    (1.2, 1.5, 50.0): 0.0024885276474677963,
+    (1.2, 1.5, 10000.0): 4.4852192900834905e-06,
+    (1.2, 3.0, 0.05): 0.9999999994620128,
+    (1.2, 3.0, 5.0): 0.2243316572108741,
+    (1.2, 3.0, 50.0): 0.01934172142927132,
+    (1.2, 3.0, 10000.0): 3.532673852736175e-05,
+    (2.2, 1.5, 0.05): 0.7934781880369765,
+    (2.2, 1.5, 5.0): 0.0022865057513933216,
+    (2.2, 1.5, 50.0): 1.7351091269140968e-05,
+    (2.2, 1.5, 10000.0): 1.5340701434258883e-10,
+    (2.2, 3.0, 0.05): 0.9999999984685843,
+    (2.2, 3.0, 5.0): 0.0475506263804975,
+    (2.2, 3.0, 50.0): 0.0004278327367933268,
+    (2.2, 3.0, 10000.0): 3.861156698545237e-09,
+    (3.7, 1.5, 0.05): 0.6826278562040842,
+    (3.7, 1.5, 5.0): 1.611536572349599e-05,
+    (3.7, 1.5, 50.0): 3.72872699229899e-09,
+    (3.7, 1.5, 10000.0): 1.1610289199186491e-17,
+    (3.7, 3.0, 0.05): 0.9999999930579544,
+    (3.7, 3.0, 5.0): 0.0022293966407519687,
+    (3.7, 3.0, 50.0): 6.456788060269346e-07,
+    (3.7, 3.0, 10000.0): 2.0627653167125936e-15,
+}
 
 
 # worst 2.5e-11, at (3.7, 1.5, 50)
-@pytest.mark.slow
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.2, 2.2, 3.7])
 @pytest.mark.parametrize("x", [1.5, 3.0])
 @pytest.mark.parametrize("big_t", [0.05, 5.0, 50.0, 1e4])
 def test_survival_matches_talbot_sweep(mu, x, big_t):
-    want = _SURVIVAL_TALBOT_SLOW.get((mu, x, big_t))
-    if want is None:
-        want = survival_talbot(mu, x, big_t)
     assert survival(ev_for(mu, x), big_t) == pytest.approx(
-        want, rel=1e-10, abs=0.0)
+        _SURVIVAL_TALBOT[(mu, x, big_t)], rel=1e-10, abs=0.0)
+
+
+@pytest.mark.slow
+def test_survival_talbot_literals_recompute():
+    # the three cheapest entries, about 0.2 s each
+    for key in [(1.2, 1.5, 1e4), (2.2, 1.5, 1e4), (3.7, 3.0, 1e4)]:
+        assert survival_talbot(*key) == _SURVIVAL_TALBOT[key], key
 
 
 # within is_half_integer's tolerance of 1/2 the kernel is empty and

@@ -250,18 +250,19 @@ def discrete_amplitude(mu: float, x: float, z: complex) -> complex:
 
 
 def test_discrete_terms_conjugate_pairs():
-    # one mode per conjugate pair: rate holds the zero set's zeros with
-    # Im z >= 0, bit for bit and in its order, a real zero carries a real
-    # amplitude, and w1 = Re sum amp e^{rate v} meets the sum over every
-    # zero, lower ones included, of A_i e^{z_i v} within 8 ulp of the sum
-    # of |terms|
+    # one mode per conjugate pair: rate is the zero set's zeros (one per
+    # pair, Im z >= 0), bit for bit and in its order, a real zero carries
+    # a real amplitude, and w1 = Re sum amp e^{rate v} meets the sum over
+    # every zero, the conjugates below the axis included, of A_i e^{z_i v}
+    # within 8 ulp of the sum of |terms|
     v = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 80)])
     for mu, x in itertools.product((1.5, 2.2, 2.5, 3.5, 3.7, 7.0, 9.3, 9.5),
                                    (1.05, 2.0, 10.0)):
         rep = build_w(ModelParams(mu, x))
-        zeros = np.array(k_zero_set(mu).zeros, dtype=complex)
-        assert rep.rate.tobytes() == zeros[zeros.imag >= 0.0].tobytes()
+        upper = np.array(k_zero_set(mu).zeros, dtype=complex)
+        assert rep.rate.tobytes() == upper.tobytes()
         assert np.all(rep.amp[rep.rate.imag == 0.0].imag == 0.0)
+        zeros = np.concatenate([upper, upper[upper.imag > 0.0].conj()])
         terms = (np.array([discrete_amplitude(mu, x, z) for z in zeros])
                  * np.exp(v[:, None] * zeros))
         err = np.abs(rep.w1(v) - terms.sum(axis=1).real)
@@ -563,9 +564,13 @@ def test_top_moment_of_a_purely_discrete_kernel(mu, want):
 
 
 def test_kappa_moment_tail_domain():
+    # both tails share one check of the cut; a nan or infinite cut
+    # returned nan (the infinite one with a warning) until it did
     rep = build_w(ModelParams(2.2, 1.5))
-    with pytest.raises(DomainError):
-        w_kappa_moment_tail(rep, 1, -1.0)
+    for tail in (w_kappa_moment_tail, w_power_moment_tail):
+        for vcut in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                tail(rep, 1, vcut)
 
 
 # ---------------------------------------------------------------------
