@@ -245,7 +245,7 @@ def far_integral(ev: DensityEvaluator, top: float, f, scale: float) -> float:
     while True:
         v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0),
                                        _TABLE_PTS)
-        parts = (wts * ev.w.eval(v)
+        parts = (ev.w.eval_weighted(v, wts)
                  * f(v * (2.0 * lam + v))).reshape(8, _TABLE_PTS)
         total += parts.sum()
         if abs(parts[-1].sum()) <= 1e-17 * scale:
@@ -317,7 +317,7 @@ def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
     top = float(edges[-1])
     tails = np.array([w_kappa_moment_tail(ev.w, j, top)
                       for j in range(ev.l_terms + 1)])
-    return v * (2.0 * lam + v), wts * ev.w.eval(v), top, tails
+    return v * (2.0 * lam + v), ev.w.eval_weighted(v, wts), top, tails
 
 
 def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:

@@ -19,11 +19,16 @@ So both parts are mode sets a e^{z v}, Re z < 0, and every functional
 of w taken here (values, the power-moment tails int_vcut^infty v^p w
 dv, the Laplace transform of the tail mass) has one closed form per
 mode, one array product's real part over either set, plus the origin
-piece's own.  Integrating the exponentials in v first leaves sums of
-one sign per set, which is how the moments reach near machine
-accuracy.  The density's direct route gets its erfcx-weighted integral
-over a short Gauss rule in log u (32-128 nodes), built on first use,
-together with a bound on its error.
+piece's own.  Values run the product tile by tile over v, in tiles of
+about 2^16 (point x mode) entries and a multiple of 64 points, so that
+no call writes more than a cache-sized temporary and each tile sums its
+rows in the order one product over all points on one BLAS thread would
+(OpenBLAS's gemv sums the rows left over from its row groups in another
+order).  Integrating the exponentials in v first leaves sums of one
+sign per set, which is how the moments reach near machine accuracy.
+The density's direct route gets its erfcx-weighted integral over a
+short Gauss rule in log u (32-128 nodes), built on first use, together
+with a bound on its error.
 """
 
 from __future__ import annotations
@@ -157,10 +162,38 @@ def _discrete_modes(params: ModelParams,
 # closed forms per mode a e^{z v}, Re z < 0, for both parts' mode sets;
 # the real part of each is the conjugate-closed sum
 
+# entries of one tile's (points x width) temporaries in _tiled, 0.5-1
+# MB; one product over the 7680 points of a 512-interval adaptive call
+# would write 85-146 MB
+_TILE_ENTRIES = 2 ** 16
+
+
+def _tiled(f, v: np.ndarray, width: int) -> np.ndarray:
+    """f over a flat array v, tile by tile, the results stacked; f takes
+    n points through (n x width) temporaries.  A tile holds 64 max(1,
+    2^16 // (64 width)) points.  OpenBLAS's gemv sums the rows left over
+    from its row groups in another order, so tiles of a multiple of 64
+    points keep each row's sum as one product over all points on one
+    BLAS thread has it (47-point tiles moved 4 % of w2 values, by up to
+    2.4e-15).  On two threads the tiles still do, while that one product
+    moves the rows at its thread split."""
+    rows = 64 * max(1, _TILE_ENTRIES // (64 * max(1, width)))
+    if v.size <= rows + 1:
+        return f(v)
+    # a last point alone would take numpy's one-row product
+    return np.concatenate([f(t) for t in np.split(
+        v, range(rows, v.size - 1, rows))])
+
+
 def _modes_value(amp, rate, v) -> np.ndarray:
-    """sum over modes a e^{z v} at an array of v (any shape): one
-    product; the real part."""
-    return (np.exp(v[..., None] * rate) @ amp).real
+    """sum over modes a e^{z v} at an array of v (any shape), the real
+    part: per tile of v (_tiled), one exp in place and one product."""
+    def tile(vt):
+        e = np.multiply.outer(vt, rate)
+        return (np.exp(e, out=e) @ amp).real
+
+    v = np.asarray(v)
+    return _tiled(tile, v.ravel(), rate.size).reshape(v.shape)
 
 
 def _power_tail_weights(p: int, vcut: float) -> np.ndarray:
@@ -391,10 +424,10 @@ class _ContinuousKernel:
         return u, amp, 0.0
 
     def w2(self, v) -> np.ndarray:
-        """w2 on an array of v >= 0: the mode sum plus the origin piece
-        coef int_0^{u_lo} h(u) u e^{-u v} du, which carries w2 once v
-        passes 1/u_lo."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        """w2 on an array of v >= 0, flattened: the mode sum plus the
+        origin piece coef int_0^{u_lo} h(u) u e^{-u v} du, which carries
+        w2 once v passes 1/u_lo."""
+        v = np.ravel(np.asarray(v, dtype=float))
         if self.mu == 0.0:
             self._check_log_reach(np.max(v, initial=0.0))
         return (_modes_value(self.amp, -self.u, v)
@@ -408,39 +441,69 @@ class _ContinuousKernel:
 
     def _origin(self, a, v) -> np.ndarray:
         """int_0^{u_lo} h(u) u^{a - 2 mu - 1} e^{-u v} du for an array of
-        v >= 0 (rows) and of a (columns) by the small-u law of h (0 where
-        there is none): term by term c_k v^{-b} gamma(b, u_lo v),
-        b = a + 2 mu k, taken while z = u_lo v < 1 through its
+        v >= 0 (rows, flattened) and of a (columns) by the small-u law of
+        h (0 where there is none): term by term c_k v^{-b} gamma(b, u_lo
+        v), b = a + 2 mu k, taken while z = u_lo v < 1 through its
         all-positive series c_k u_lo^b / b e^{-z} sum_n z^n / ((b + 1)
-        ... (b + n)), exact at v = 0.  A term with b <= 0 diverges at 0:
-        DomainError."""
+        ... (b + n)), exact at v = 0.  Per tile of v (_tiled), as its
+        (v x a x k) terms reach 400 per point near mu = 0.  A term with
+        b <= 0 diverges at 0: DomainError."""
         eps = self.u_lo
-        v = np.reshape(v, (-1, 1, 1))
         b = np.reshape(a, (-1, 1)) + self.origin_steps
         bmin = float(b.min(initial=np.inf))
         if bmin <= 0.0:
             raise DomainError(f"v^p w is not integrable for mu = {self.mu} "
                               f"(needs p < 2 mu + 1)")
-        z = eps * v
-        near = z < 1.0
-        all_near = near.all()
-        zn = z if all_near else np.where(near, z, 0.0)
-        # the series is >= 1, so once this bound on every term falls to
-        # 1e-17 each term is at most 1e-17 of its series
-        zmax, bound, n_terms = float(zn.max(initial=0.0)), 1.0, 0
-        while bound > 1e-17:
-            n_terms += 1
-            bound *= zmax / (bmin + n_terms)
-        term = series = 1.0
-        for n in range(1, n_terms + 1):
-            term = term * (zn / (b + n))
-            series = series + term
-        out = self.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
-        if not all_near:
-            far = ~near[:, 0, 0]
-            out[far] = (self.origin_coefs * v[far] ** -b * sp.gamma(b)
-                        * sp.gammainc(b, z[far]))
-        return out.sum(axis=2)
+
+        def tile(vt):
+            v = vt.reshape(-1, 1, 1)
+            z = eps * v
+            near = z < 1.0
+            all_near = near.all()
+            zn = z if all_near else np.where(near, z, 0.0)
+            # the series is >= 1, so once this bound on every term falls
+            # to 1e-17 each term is at most 1e-17 of its series, and the
+            # terms left out cannot change a bit
+            zmax, bound, n_terms = float(zn.max(initial=0.0)), 1.0, 0
+            while bound > 1e-17:
+                n_terms += 1
+                bound *= zmax / (bmin + n_terms)
+            term = series = 1.0
+            for n in range(1, n_terms + 1):
+                term = term * (zn / (b + n))
+                series = series + term
+            out = self.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
+            if not all_near:
+                far = ~near[:, 0, 0]
+                out[far] = (self.origin_coefs * v[far] ** -b * sp.gamma(b)
+                            * sp.gammainc(b, z[far]))
+            return out.sum(axis=2)
+
+        return _tiled(tile, np.ravel(v), b.size)
+
+    def weighted(self, v: np.ndarray, w: np.ndarray,
+                 wts: np.ndarray) -> np.ndarray:
+        """wts w at a 1-d array of v, w the kernel's values there: wts * w
+        while w, and the lead term c_0 v^{-(2 mu + 2)} that w2 forms on
+        the way to it, are normal doubles.  Past that w has lost bits,
+        every mode has long vanished, and w is the origin piece's power
+        law coef sum_k c_k Gamma(b) P(b, u_lo v) v^{-b}, b = 2 mu (k + 1)
+        + 2, taken with each wts v^{-b} as (wts^{1/b} / v)^b, which
+        leaves double range only where it does itself."""
+        out = wts * w
+        # no origin law, or one that underflows to 0 (mu below 1e-154)
+        if not self.origin_coefs.any():
+            return out
+        tiny = np.finfo(float).tiny
+        b = 2.0 * self.mu + 2.0 + self.origin_steps
+        v_low = math.exp((math.log(abs(self.origin_coefs[0]))
+                          - math.log(tiny)) / b[0])
+        low = (np.abs(w) < tiny) | (v > v_low)
+        vl, wl = v[low, None], wts[low, None]
+        out[low] = self.coef * (self.origin_coefs * sp.gamma(b)
+                                * (wl ** (1.0 / b) / vl) ** b
+                                * sp.gammainc(b, self.u_lo * vl)).sum(axis=1)
+        return out
 
     def _h_small_end(self, p: int, vcut: float) -> np.ndarray:
         """integrals of h(u) u^{r-p} e^{-u vcut} du over the truncated
@@ -561,6 +624,18 @@ class WLambdaRep:
         cut = _SQRT_PI * sq * kern.drop_lo * sp.erfcx(0.5 * lam / sq)
         return out, cut + dev * np.abs(out)
 
+    def eval_weighted(self, v: np.ndarray, wts: np.ndarray) -> np.ndarray:
+        """wts w(v) at a 1-d array of v >= 0 and of weights wts > 0, bit
+        for bit wts * eval(v) while w(v) is formed in double range.
+
+        Far out w falls like v^{-(2 mu + 2)} and leaves that range (from
+        v = 1e80 at mu = 1.2 and 5e18 at mu = 7, where the lead term of
+        its power law does), while the weight of a quadrature node there,
+        of order v, keeps wts w in it.  There the law is formed with the
+        weight inside (_ContinuousKernel.weighted).
+        """
+        return self._kernel.weighted(v, self.eval(v), wts)
+
     def tail_laplace_transform(self, r) -> np.ndarray:
         """int_0^infty e^{-r v} W(v) dv for r > 0 (any shape), with
         W(v) = int_v^infty w the kernel's tail mass.
@@ -574,7 +649,8 @@ class WLambdaRep:
                 + self._kernel.tail_laplace_transform(r))
 
     def eval(self, v):
-        """Kernel value w(v) = w1(v) + w2(v) for any v >= 0.
+        """Kernel value w(v) = w1(v) + w2(v) for any v >= 0, of v's shape
+        (a float for a 0-d v).
 
         At mu = 0 w2 is resolved for v up to 1e51; DomainError beyond.
         """
@@ -582,7 +658,7 @@ class WLambdaRep:
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise DomainError("kernel defined for finite v >= 0")
         out = self.w1(arr) + self.w2_exact(arr)
-        return float(out[0]) if np.isscalar(v) else out
+        return float(out[0]) if np.ndim(v) == 0 else out
 
 
 def build_w(params: ModelParams) -> WLambdaRep:

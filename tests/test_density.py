@@ -611,23 +611,53 @@ def survival_talbot(mu: float, x: float, big_t: float) -> float:
         return float(mp.invertlaplace(lap, mp.mpf(big_t), method="talbot"))
 
 
+# q_talbot at the fixed (mu, x, t) of the tests below, each printed by
+# repr(q_talbot(mu, x, t)) with mpmath 1.3.0; recomputing the 15 takes
+# about 13 s on a shared 2-vCPU machine, 6.8 s of it at (3, 1.1, 13)
+_Q_TALBOT = {
+    (2.2, 10.0, 300.0): 1.173321259762243e-05,
+    (1.2, 10.0, 20000.0): 1.778246412965335e-08,
+    (3.0, 1.1, 13.0): 1.9508293046929676e-07,
+    (7.6, 3.0, 1.056): 0.012267551357960614,
+    (1.9, 10.0, 1032.0): 8.363938806269167e-07,
+    (3.9, 5.0, 15.68): 0.00021806847019959625,
+    (0.0, 2.0, 1e14): 1.263448422341457e-17,
+    (0.0, 2.0, 1e16): 9.743715658907595e-20,
+    (0.0, 2.0, 1e18): 7.741598555607903e-22,
+    (0.0, 2.0, 1e30): 2.8354118048165118e-34,
+    (0.3, 2.0, 1e14): 7.176697909162864e-20,
+    (0.3, 2.0, 1e16): 1.802609891982518e-22,
+    (0.3, 2.0, 1e18): 4.527891314680427e-25,
+    (0.3, 2.0, 1e30): 1.1373498200907292e-40,
+    (0.0, 2.0, 1e99): 2.6487134934460768e-104,
+}
+
+
+@pytest.mark.slow
+def test_density_talbot_literals_recompute():
+    # the three cheapest new entries, 0.1-0.2 s each
+    assert q_talbot(0.3, 2.0, 1e30) == _Q_TALBOT[(0.3, 2.0, 1e30)]
+    assert q_talbot(0.3, 2.0, 1e16) == _Q_TALBOT[(0.3, 2.0, 1e16)]
+    assert (survival_talbot(1.5, 2.0, 1e10)
+            == _SURVIVAL_TALBOT[(1.5, 2.0, 1e10)])
+
+
 # at half-integer mu the kernel is e^{z v} terms alone, which a single
 # quadrature panel from 10 (1 + lam) to 0.5 sqrt(T) used to miss
 @pytest.mark.parametrize("mu", [0.3, 1.2, 1.5, 2.5, 3.5])
 @pytest.mark.parametrize("big_t", [1e8, 1e10])
 def test_far_survival_matches_talbot(mu, big_t):
     assert survival(ev_for(mu, 2.0), big_t) == pytest.approx(
-        survival_talbot(mu, 2.0, big_t), rel=1e-12, abs=0.0)
+        _SURVIVAL_TALBOT[(mu, 2.0, big_t)], rel=1e-12, abs=0.0)
 
 
 # past t ~ 6e13 the table reaches beyond v = 1e8, where w2 is carried
 # by the small-u law of h below the u-grid
-@pytest.mark.slow
 @pytest.mark.parametrize("mu", [0.0, 0.3])
 @pytest.mark.parametrize("t", [1e14, 1e16, 1e18, 1e30])
 def test_far_tail_matches_talbot(mu, t):
     ev = ev_for(mu, 2.0)
-    assert q_density(ev, t) == pytest.approx(q_talbot(mu, 2.0, t),
+    assert q_density(ev, t) == pytest.approx(_Q_TALBOT[(mu, 2.0, t)],
                                              rel=1e-10, abs=0.0)
 
 
@@ -653,13 +683,12 @@ def test_density_next_to_even_half_integer_matches_talbot():
 # direct values 1.3e-9 to 4.8e-8 off Talbot whose loss estimate read
 # under 2e-10 until it counted the error of the kernel product (its
 # rule's deviation times |S|); they now take the table route
-@pytest.mark.slow
 @pytest.mark.parametrize("mu,x,t", [
     (2.2, 10.0, 300.0), (1.2, 10.0, 2e4), (3.0, 1.1, 13.0),
     (7.6, 3.0, 1.056), (1.9, 10.0, 1032.0), (3.9, 5.0, 15.68)])
 def test_direct_loss_estimate_hands_over_at_large_x(mu, x, t):
     assert q_density(ev_for(mu, x), t) == pytest.approx(
-        q_talbot(mu, x, t), rel=1e-9, abs=0.0)
+        _Q_TALBOT[(mu, x, t)], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,x", [(5.0, 2.0), (7.0, 2.0), (9.3, 2.0),
@@ -735,7 +764,7 @@ def test_driftless_far_tail_reach():
     # at mu = 0 the u-grid resolves w2 for v up to 1e51, which the
     # table reaches at t of about 2e99 (x = 2); beyond, DomainError
     ev = ev_for(0.0, 2.0)
-    assert q_density(ev, 1e99) == pytest.approx(q_talbot(0.0, 2.0, 1e99),
+    assert q_density(ev, 1e99) == pytest.approx(_Q_TALBOT[(0.0, 2.0, 1e99)],
                                                 rel=1e-10, abs=0.0)
     with pytest.raises(DomainError):
         q_density(ev, 1e120)
@@ -974,11 +1003,22 @@ def test_survival_positive_far_in_high_drift_tail():
     assert val == pytest.approx(2.0284383934089e-32, rel=1e-2, abs=0.0)
 
 
-# survival_talbot at the sweep's (mu, x, T), each printed by
-# repr(survival_talbot(mu, x, T)) with mpmath 1.3.0; recomputing the 40
-# takes about 64 s on a shared 2-vCPU machine, 50-56 s of it at
-# (0, 1.5, 0.05) and (0, 3, 0.05), so they are kept as literals
+# survival_talbot at the (mu, x, T) of the sweep below and of
+# test_far_survival_matches_talbot, each printed by
+# repr(survival_talbot(mu, x, T)) with mpmath 1.3.0; recomputing the
+# sweep's 40 takes about 64 s on a shared 2-vCPU machine, 50-56 s of it
+# at (0, 1.5, 0.05) and (0, 3, 0.05), so they are kept as literals
 _SURVIVAL_TALBOT = {
+    (0.3, 2.0, 1e8): 0.0015126486255029768,
+    (0.3, 2.0, 1e10): 0.00037932835686947056,
+    (1.2, 2.0, 1e8): 1.8478564895217346e-10,
+    (1.2, 2.0, 1e10): 7.356449414831324e-13,
+    (1.5, 2.0, 1e8): 6.582211693808768e-13,
+    (1.5, 2.0, 1e10): 6.582211806914673e-16,
+    (2.5, 2.0, 1e8): 2.914979480350575e-21,
+    (2.5, 2.0, 1e10): 2.914979514650279e-26,
+    (3.5, 2.0, 1e8): 8.53000908253259e-30,
+    (3.5, 2.0, 1e10): 8.530009178856207e-37,
     (0.0, 1.5, 0.05): 0.9065670208262838,
     (0.0, 1.5, 5.0): 0.25418115440011013,
     (0.0, 1.5, 50.0): 0.15737069214863195,

@@ -180,14 +180,34 @@ def test_plane_kernel_matches_subordination(mu, rho):
 # past rho of about 5e7 the v-table gets more ratio-2 panels; beyond
 # rho = 1e9 the corrections to the tail law, relative rho^{-2} for
 # mu >= 1, are below roundoff
+def plane_tail_law(mu: float, x: float, rho: float) -> float:
+    """C_P rho^{-(1 + 2 mu)}, the n = 2 kernel's tail law."""
+    a = 0.5
+    c_p = ((x ** (2.0 * mu) - 1.0) * sp.gamma(mu + a)
+           / (sp.gamma(mu) * math.pi ** a))
+    return c_p * rho ** (-1.0 - 2.0 * mu)
+
+
 @pytest.mark.parametrize("mu", [1.2, 3.7, 7.0])
 @pytest.mark.parametrize("rho", [1e9, 1e12])
 def test_plane_kernel_far_radius_meets_tail_law(mu, rho):
-    x, a = 2.0, 0.5
-    c_p = ((x ** (2.0 * mu) - 1.0) * sp.gamma(mu + a)
-           / (sp.gamma(mu) * math.pi ** a))
-    got = kernel_closed(PoissonParams(2, ModelParams(mu, x), rho))
-    assert got == pytest.approx(c_p * rho ** (-1.0 - 2.0 * mu), rel=1e-12,
+    got = kernel_closed(PoissonParams(2, ModelParams(mu, 2.0), rho))
+    assert got == pytest.approx(plane_tail_law(mu, 2.0, rho), rel=1e-12,
+                                abs=0.0)
+
+
+# farther out w leaves double range (from v = 1e80 at mu = 1.2, 5e18 at
+# mu = 7) while W_k w(v_k) on the table's far panels does not, and the
+# table forms that product without the underflow.  Formed from w, it
+# was 8.9e-7 off at (0.3, 1e120), 2.8e6 times too small at (0.3, 1e140),
+# 0.89 off at (1.2, 1e80) and 2e-7 off at (7, 1e19); now at most 7e-14
+@pytest.mark.parametrize("mu,rho", [
+    (0.3, 1e30), (0.3, 1e100), (0.3, 1e120), (0.3, 1e140),
+    (1.2, 1e30), (1.2, 1e60), (1.2, 1e80),
+    (7.0, 1e17), (7.0, 1e19), (7.0, 10.0 ** 19.5)])
+def test_plane_kernel_meets_tail_law_where_the_kernel_underflows(mu, rho):
+    got = kernel_closed(PoissonParams(2, ModelParams(mu, 2.0), rho))
+    assert got == pytest.approx(plane_tail_law(mu, 2.0, rho), rel=1e-12,
                                 abs=0.0)
 
 

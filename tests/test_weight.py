@@ -20,13 +20,19 @@ the law below the grid.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sp
 
+import gbm_hitfun
 from gbm_hitfun.bessel import (
     is_half_integer,
     k_zero_set,
@@ -43,6 +49,7 @@ from gbm_hitfun.quadrature import (
 from gbm_hitfun.weight import (
     ModelParams,
     WLambdaRep,
+    _modes_value,
     build_w,
     h_mu_lambda,
     w_kappa_moment_tail,
@@ -436,6 +443,149 @@ def test_eval_domain_and_shapes():
         rep.eval(np.inf)
     assert isinstance(rep.eval(1.0), float)
     assert rep.eval(np.array([0.0, 1.0])).shape == (2,)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 7.0])
+def test_eval_keeps_the_shape_of_v(mu):
+    # the mode sums keep v's shape and the origin piece works on it
+    # flattened, so a 2-d v gives the flat call's values in its shape (at
+    # a non-half-integer drift it raised a broadcasting error); a 0-d v
+    # gives a float
+    rep = build_w(ModelParams(mu, 2.0))
+    v = np.geomspace(1e-3, 1e4, 10500)
+    grid = v.reshape(700, 15)
+    assert np.array_equal(rep.eval(grid), rep.eval(v).reshape(700, 15))
+    assert np.array_equal(rep.w2_exact(grid),
+                          rep.w2_exact(v).reshape(700, 15))
+    for scalar in (2.5, np.float64(2.5), np.array(2.5)):
+        got = rep.eval(scalar)
+        assert isinstance(got, float)
+        assert got == rep.eval(np.array([2.5]))[0]
+
+
+# the tiled mode sum against one product over all points, bit for bit,
+# in a child process with one BLAS thread: a threaded product over all
+# points splits its rows between threads, and the rows left over at the
+# split take another summation order (a few ulp on a few rows).  The
+# tiles' values do not depend on the thread count, so the test's own
+# process gives the child's
+_TILE_CHECK = """
+import sys
+import numpy as np
+from gbm_hitfun.weight import ModelParams, _modes_value, build_w
+out = {}
+for mu, n_max in ((0.0, 7680), (9.3, 50001)):
+    rep = build_w(ModelParams(mu, 2.0))
+    amp, rate = ((rep._kernel.amp, -rep._kernel.u) if mu == 0.0
+                 else (rep.amp, rep.rate))
+    for n in (0, 1, 63, 64, 65, 7680, 50001):
+        if n <= n_max:
+            v = np.geomspace(1e-3, 1e3, n)
+            one = (np.exp(v[..., None] * rate) @ amp).real
+            got = _modes_value(amp, rate, v)
+            assert got.tobytes() == one.tobytes(), (mu, n)
+            out[f"{mu}_{n}"] = got
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_modes_value_tiles_bit_for_bit(tmp_path):
+    # the mu = 0 grid's 2377 real rates (64-point tiles) and the four
+    # complex ones at mu = 9.3 (6528-point tiles); 50001 points take the
+    # complex set alone, as one product over the real grid there would
+    # write a 0.95 GB array
+    src = str(Path(gbm_hitfun.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "tiles.npz"
+    subprocess.run([sys.executable, "-c", _TILE_CHECK, str(out)], env=env,
+                   check=True)
+    reps = {mu: build_w(ModelParams(mu, 2.0)) for mu in (0.0, 9.3)}
+    sets = {0.0: (reps[0.0]._kernel.amp, -reps[0.0]._kernel.u),
+            9.3: (reps[9.3].amp, reps[9.3].rate)}
+    assert sets[0.0][1].size == 2377 and sets[9.3][1].size == 4
+    with np.load(out) as child:
+        assert len(child.files) == 13
+        for key in child.files:
+            mu, n = key.split("_")
+            got = _modes_value(*sets[float(mu)],
+                               np.geomspace(1e-3, 1e3, int(n)))
+            assert got.tobytes() == child[key].tobytes(), key
+
+
+def origin_untiled(kern, a, v):
+    """_ContinuousKernel._origin as one (v x a x k) array, its series
+    length bounded over all of v at once."""
+    eps = kern.u_lo
+    v = np.reshape(v, (-1, 1, 1))
+    b = np.reshape(a, (-1, 1)) + kern.origin_steps
+    bmin = float(b.min())
+    z = eps * v
+    near = z < 1.0
+    zn = np.where(near, z, 0.0)
+    zmax, bound, n_terms = float(zn.max(initial=0.0)), 1.0, 0
+    while bound > 1e-17:
+        n_terms += 1
+        bound *= zmax / (bmin + n_terms)
+    term = series = 1.0
+    for n in range(1, n_terms + 1):
+        term = term * (zn / (b + n))
+        series = series + term
+    out = kern.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
+    far = ~near[:, 0, 0]
+    out[far] = (kern.origin_coefs * v[far] ** -b * sp.gamma(b)
+                * sp.gammainc(b, z[far]))
+    return out.sum(axis=2)
+
+
+def test_origin_tiles_bit_for_bit():
+    # at mu = 0.001 the small-u law keeps 400 terms, so a tile holds 128
+    # points; each tile bounds its own series length, and the terms that
+    # leaves out are under 1e-17 of a series >= 1, so no bit moves.  v
+    # spans both branches (u_lo v below and above 1), and the a-columns
+    # are those of w2 and of the v^1 moment tail
+    kern = build_w(ModelParams(0.001, 2.0))._kernel
+    assert kern.origin_coefs.size == 400
+    v = np.concatenate([[0.0], np.geomspace(1e-3, 1e15, 3000)])
+    for a in ([2.002], [0.002, 1.002]):
+        got = kern._origin(a, v)
+        assert got.tobytes() == origin_untiled(kern, a, v).tobytes(), a
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.001, 0.3, 7.0, 9.3])
+def test_eval_memory_is_tile_sized(mu):
+    # 7680 points, as the adaptive engine hands over at 512 intervals:
+    # one product over all of them peaked at 170-292 MB
+    rep = build_w(ModelParams(mu, 2.0))
+    v = np.geomspace(1e-3, 1e6, 7680)
+    tracemalloc.start()
+    try:
+        rep.eval(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.2, 7.0])
+def test_eval_weighted_keeps_the_weight_out_of_underflow(mu):
+    # wts w(v) is wts * eval(v), bit for bit, while w is well inside
+    # double range; far out, where w loses its bits and then underflows,
+    # v w(v) still meets its power law C v^{-(2 mu + 1)} down to 1e-300
+    # (for mu < 1 from v = 1e40 on, as the law's next terms add relative
+    # v^{-2 mu k})
+    params = ModelParams(mu, 2.0)
+    rep = build_w(params)
+    v = np.geomspace(1e2, 1e200, 1200)
+    got = rep.eval_weighted(v, v)
+    w = rep.eval(v)
+    kept = np.abs(w) >= 1e-280
+    assert np.array_equal(got[kept], v[kept] * w[kept])
+    law = w2_tail_constant(params) * np.exp(-(2.0 * mu + 1.0) * np.log(v))
+    far = (v >= (1e14 if mu >= 1.0 else 1e40)) & (np.abs(law) >= 1e-300)
+    assert np.count_nonzero(far & ~kept) >= 10
+    assert np.allclose(got[far], law[far], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------
