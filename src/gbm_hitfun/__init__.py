@@ -10,8 +10,7 @@ moderate t and a fixed v-grid table otherwise, survival and total
 mass by exact swaps of the t-integral, the tail constant in closed form,
 and the Poisson kernel (in :mod:`.poisson`) by the same swap, which
 leaves a single v-integral for every n >= 2.  The Laplace transform of
-the density, in closed Bessel form and by the swap of its t-integral,
-checks them.
+the density, in closed Bessel form, checks them.
 """
 
 from .errors import (
@@ -38,7 +37,6 @@ from .density import (
     TailConstant,
     build_evaluator,
     dufresne_density,
-    laplace_of_density,
     laplace_ratio,
     q_density,
     rescale,
@@ -65,7 +63,6 @@ __all__ = [
     "TailConstant",
     "build_evaluator",
     "dufresne_density",
-    "laplace_of_density",
     "laplace_ratio",
     "q_density",
     "rescale",

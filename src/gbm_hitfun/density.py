@@ -39,11 +39,10 @@ for the two callers not yet on the table.  q takes two routes:
 Also here, each with one route: total mass from the kernel's first
 power moment; survival by the exact swap of the t-integral
 (:func:`adaptive_integral` of a remainder in kappa/4T); the Laplace
-transform of q in closed Bessel form, and by the exact swap of its
-t-integral as the consistency check against it; the closed t ->
-infinity tail constant, the scaling relation for hitting a general
-level, and the density of the unstopped limit functional.  No
-t-integral of q is taken numerically.
+transform of q in closed Bessel form; the closed t -> infinity tail
+constant, the scaling relation for hitting a general level, and the
+density of the unstopped limit functional.  No t-integral of q is
+taken numerically.
 """
 
 from __future__ import annotations
@@ -124,6 +123,14 @@ class DensityEvaluator:
         return 1e3 * max(1.0, self.params.lam ** 2)
 
     @functools.cached_property
+    def _w_norm(self) -> float:
+        """A bound on int |w| dv, taken on first use: sum |a| / |Re z|
+        over the discrete modes a e^{z v}, plus |int w2| (of one sign)."""
+        w1_mass = float(np.sum(-self.w.amp / self.w.rate).real)
+        return (float(np.sum(np.abs(self.w.amp) / -self.w.rate.real))
+                + abs(w_power_moment_tail(self.w, 0, 0.0) - w1_mass))
+
+    @functools.cached_property
     def _table(self):
         """(kappa_k, W_k w(v_k), top, T) on the table route's fixed
         v-grid (see the module docstring), built on first use: kappa and
@@ -187,8 +194,9 @@ def table_integral(ev: DensityEvaluator, sigma: np.ndarray, f0, coefs,
 
     R_j = taylor_remainder(f0, coefs, ., j, switch(j)).  Each sigma gets
     the fewest ratio-2 panels past the table's top that bring
-    kappa/sigma there to `reach`, and the sigmas with one count share
-    one product, so no value depends on the other scales.  The sum
+    kappa/sigma there to `reach` (DomainError where kappa on them leaves
+    double range), and the sigmas with one count share one product, so
+    no value depends on the other scales.  The sum
     R_j(kappa_k/sigma) @ (W_k w(v_k)) is completed by the polynomial
     part's exact tail -sum_{i <= j} c_i T_i sigma^{-i}, T_i =
     int_top^infty kappa^i w dv; f past the top is the caller's
@@ -198,8 +206,13 @@ def table_integral(ev: DensityEvaluator, sigma: np.ndarray, f0, coefs,
     cancel (no single j holds its digits at both small and large sigma).
     """
     lam, l, base = ev.params.lam, ev.l_terms, ev._table
-    v_need = np.sqrt(lam * lam + reach * sigma) - lam
+    with np.errstate(over="ignore"):    # caught as an infinite top
+        v_need = np.sqrt(lam * lam + reach * sigma) - lam
     panels = np.maximum(0.0, np.ceil(np.log2(v_need / base[2])))
+    top = float(base[2] * 2.0 ** panels.max())
+    if not math.isfinite(top * (2.0 * lam + top)):
+        raise DomainError(f"kappa leaves double range below the table's "
+                          f"reach, v = {top:g}")
     val, norm, tops = (np.empty_like(sigma) for _ in range(3))
     for k in np.unique(panels):
         rows = np.flatnonzero(panels == k)
@@ -240,9 +253,12 @@ def far_integral(ev: DensityEvaluator, top: float, f, scale: float) -> float:
     """int_top^infty w(v) f(kappa) dv, kappa = v (2 lam + v), the far
     part past a table's top: 20-point ratio-2 panels, eight at a time,
     until a panel adds under 1e-17 of scale (the l1 norm of the sum it
-    completes)."""
+    completes), or DomainError where kappa on them leaves double range."""
     lam, total = ev.params.lam, 0.0
     while True:
+        if not math.isfinite(256.0 * top * (2.0 * lam + 256.0 * top)):
+            raise DomainError(f"kappa leaves double range in the far part, "
+                              f"past v = {top:g}")
         v, wts = gauss_legendre_panels(top * 2.0 ** np.arange(9.0),
                                        _TABLE_PTS)
         parts = (ev.w.eval_weighted(v, wts)
@@ -393,38 +409,41 @@ def dufresne_density(mu: float, t):
                       t, "density defined for finite t > 0")
 
 
+def _kve(nu: float, z: np.ndarray) -> np.ndarray:
+    """e^z K_nu(z) at an array of z > 0, 0 <= nu <= 1: scipy's, which is
+    nan from z = 2^30 on, where two Hankel terms hold to 2e-19."""
+    near, big = z < 2.0 ** 30, np.maximum(z, 2.0 ** 30)
+    return np.where(near, sp.kve(nu, np.where(near, z, 1.0)),
+                    np.sqrt(0.5 * np.pi / big)
+                    * (1.0 + (nu * nu - 0.25) / (2.0 * big)))
+
+
 def laplace_ratio(mu: float, x: float, r):
     """Closed form of the Laplace transform E exp(-r^2 A(tau)).
 
-    Equals x^mu K_mu(x r) / K_mu(r), evaluated through scaled Bessel
-    functions so that no overflow occurs for large r.  Decreasing in r,
-    with limit 1 as r -> 0+.  For a stop at a general level a use the
-    scaling identity: the transform is laplace_ratio(mu, x/a, a*r).
+    Equals x^mu K_mu(x r) / K_mu(r), as x^nu K_nu(x r) / K_nu(r), mu =
+    nu + n, 0 <= nu < 1, times n factors x rho_k(x r) / rho_k(r), rho_k
+    = K_{nu+k+1} / K_{nu+k} = 1/rho_{k-1} + 2 (nu + k)/z from rho_{-1} =
+    K_nu / K_{1-nu}: no K of order above 1, which overflows at small r,
+    is formed.  Decreasing in r, with limit 1 as r -> 0+.  For a stop at
+    a general level a the transform is laplace_ratio(mu, x/a, a*r).
     """
     if mu < 0 or not np.isfinite(mu):
         raise DomainError("drift parameter must satisfy mu >= 0")
     if not (x > 1.0) or not np.isfinite(x):
         raise DomainError("starting point must satisfy x > 1")
-    return _at_points(lambda a: x ** mu * sp.kve(mu, x * a) / sp.kve(mu, a)
-                      * np.exp(-(x - 1.0) * a),
-                      r, "transform defined for r > 0")
+    nu, n = mu % 1.0, int(mu // 1.0)
 
+    def transform(a):
+        za = (x * a, a)
+        out = x ** nu * _kve(nu, za[0]) / _kve(nu, za[1])
+        rho = [_kve(nu, z) / _kve(1.0 - nu, z) for z in za]
+        for k in range(n):
+            rho = [1.0 / p + 2.0 * (nu + k) / z for p, z in zip(rho, za)]
+            out *= x * rho[0] / rho[1]
+        return out * np.exp(-(x - 1.0) * a)
 
-def laplace_of_density(ev: DensityEvaluator, r: float) -> float:
-    """int_0^infty e^{-r^2 t} q(t) dt by the exact order swap.
-
-    The t-integral of each piece of the direct route's J is closed:
-    e^{-lam r} [x^{mu-1/2} - lam (M0 - w_hat(r)) / r], M0 = int w dv
-    and w_hat the kernel's Laplace transform.  The quotient is taken as
-    the Laplace transform of the kernel's tail mass, which does not
-    cancel as r -> 0.  The numerical side of the master consistency
-    check against :func:`laplace_ratio`; the two share only the kernel.
-    """
-    if not (r > 0.0) or not np.isfinite(r):
-        raise DomainError("transform defined for r > 0")
-    p = ev.params
-    return math.exp(-p.lam * r) * float(
-        p.x ** (p.mu - 0.5) - p.lam * ev.w.tail_laplace_transform(r))
+    return _at_points(transform, r, "transform defined for r > 0")
 
 
 # ---------------------------------------------------------------------
@@ -474,14 +493,22 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
     (5.3, 2, 60), 3.6e-7 at (7, 2, 5) and 3.1e-2 at (7, 2, 60).  At
     (9.3, 2) it returns 4.0e-18 at T = 60, where Talbot inversion gives
     4.0e-23, and is 4.6e-3 off at T = 600 (ROADMAP item 1 mends both).
+
+    It is the total mass where the direct route's |J(t)| <= x^{mu-1/2}
+    /2t + 2 int |w| bounds the mass below T, x^{mu-1/2} erfc(sqrt z0) +
+    4 lam sqrt(T/pi) e^{-z0} int |w|, z0 = lam^2/4T, by 1e-17.
     """
     if not np.isfinite(big_t) or big_t < 0.0:
         raise DomainError("survival defined for finite T >= 0")
     if big_t == 0.0:
         return total_mass(ev)
     mu, lam, x = ev.params.mu, ev.params.lam, ev.params.x
+    big_t = float(big_t)
     sq = math.sqrt(big_t)
     z0 = lam * lam / (4.0 * big_t)
+    if (x ** (mu - 0.5) * math.erfc(math.sqrt(z0)) + 4.0 * lam * ev._w_norm
+            * math.sqrt(big_t / math.pi) * math.exp(-z0)) <= 1e-17:
+        return total_mass(ev)
     closed, coefs = _survival_remainder(z0)
     lead = (x ** (mu - 0.5) / lam * _SQRT_PI * math.erf(lam / (2.0 * sq))
             if ev.l_terms == 0 else 0.0)

@@ -114,9 +114,11 @@ def kernel_closed(p: PoissonParams) -> float:
     :func:`.density.far_integral` do not cancel; the tests hold it
     within 1e-11 of a Fourier inversion at x = 2, mu <= 7, rho <= 3,
     within 5e-9 of subordination at rho = 6-20 and within 1e-12 of the
-    tail law at rho >= 1e9.  At n >= 3 it is
-    :func:`.density.adaptive_integral` (j = min(1, l)) up to a cut v_hi,
-    without the far part int_v_hi^infty w (1+z)^{-m} dv.
+    tail law at rho >= 1e9.  Where kappa leaves double range on either's
+    panels (at x = 2 from rho = 1e145 at mu = 0.3, 1e140 at mu = 0.1),
+    or a moment tail does, it raises DomainError naming rho.  At n >= 3
+    it is :func:`.density.adaptive_integral` (j = min(1, l)) up to a cut
+    v_hi, without the far part int_v_hi^infty w (1+z)^{-m} dv.
     """
     n, model, rho = p.n, p.model, p.rho
     mu, lam, x = model.mu, model.lam, model.x
@@ -124,11 +126,15 @@ def kernel_closed(p: PoissonParams) -> float:
     c0 = lam * lam + rho * rho
     if n == 2:
         m, gam, lead = 0.0, 1.0, 2.0
-        val, norm, top = (float(a[0]) for a in table_integral(
-            ev, np.array([c0]), lambda z: -np.log1p(z), -_LOG1P_COEFS,
-            lambda j: 0.5, 4.0))
-        bracket = val + far_integral(ev, top, lambda k: -np.log1p(k / c0),
-                                     norm)
+        try:
+            val, norm, top = (float(a[0]) for a in table_integral(
+                ev, np.array([c0]), lambda z: -np.log1p(z), -_LOG1P_COEFS,
+                lambda j: 0.5, 4.0))
+            bracket = val + far_integral(
+                ev, top, lambda k: -np.log1p(k / c0), norm)
+        except DomainError as err:
+            raise DomainError(f"the n = 2 kernel is out of reach at rho = "
+                              f"{rho:g}: {err}") from None
     else:
         m = 0.5 * n - 1.0
         gam, lead = gamma_fn(m), n - 2.0

@@ -16,10 +16,9 @@ A composite Gauss-Legendre u-grid, ended where the mass of h u ends,
 makes w2 a sum of amp_k e^{-u_k v} (an empty sum at half-integer mu)
 plus an origin piece, the small-u law of h integrated below the grid.
 So both parts are mode sets a e^{z v}, Re z < 0, and every functional
-of w taken here (values, the power-moment tails int_vcut^infty v^p w
-dv, the Laplace transform of the tail mass) has one closed form per
-mode, one array product's real part over either set, plus the origin
-piece's own.  Values run the product tile by tile over v, in tiles of
+of w taken here (values and the power-moment tails int_vcut^infty v^p
+w dv) has one closed form per mode, one array product's real part over
+either set, plus the origin piece's own.  Values run the product tile by tile over v, in tiles of
 about 2^16 (point x mode) entries and a multiple of 64 points, so that
 no call writes more than a cache-sized temporary and each tile sums its
 rows in the order one product over all points on one BLAS thread would
@@ -222,14 +221,6 @@ def _modes_power_tail(amp, rate, p: int, vcut: float) -> float:
             poly = poly * s + c
         terms = amp * decay * poly * s ** (-p - 1.0)
     return float(np.sum(np.where(decay == 0.0, 0.0, terms)).real)
-
-
-def _modes_tail_laplace(amp, rate, r) -> np.ndarray:
-    """sum over modes a e^{z v} of a / (z (z - r)), at r > 0 of any
-    shape: the Laplace transform at r of each mode's tail mass
-    int_v^infty a e^{z s} ds = -a e^{z v} / z; the real part."""
-    rr = np.asarray(r, dtype=float)[..., None]
-    return (amp / (rate * (rate - rr))).sum(axis=-1).real
 
 
 # ---------------------------------------------------------------------
@@ -550,18 +541,6 @@ class _ContinuousKernel:
                     f"moment may be off by {cut:.2g}", value, cut)
         return value
 
-    def tail_laplace_transform(self, r) -> np.ndarray:
-        """int_0^infty e^{-r v} int_v^infty w2 dv for r > 0 (any shape):
-        the modes' closed form plus the origin piece, termwise
-        c_k u_lo^b / (b r) 2F1(1, b; b + 1; -u_lo / r) with
-        b = 2 mu (k + 1) + 1."""
-        rr = np.asarray(r, dtype=float)[..., None]
-        b = 2.0 * self.mu + 1.0 + self.origin_steps
-        return (_modes_tail_laplace(self.amp, -self.u, r)
-                + self.coef * (self.origin_coefs * self.u_lo ** b / (b * rr)
-                               * sp.hyp2f1(1.0, b, b + 1.0, -self.u_lo / rr)
-                               ).sum(axis=-1))
-
 
 # ---------------------------------------------------------------------
 # assembled representation
@@ -635,18 +614,6 @@ class WLambdaRep:
         weight inside (_ContinuousKernel.weighted).
         """
         return self._kernel.weighted(v, self.eval(v), wts)
-
-    def tail_laplace_transform(self, r) -> np.ndarray:
-        """int_0^infty e^{-r v} W(v) dv for r > 0 (any shape), with
-        W(v) = int_v^infty w the kernel's tail mass.
-
-        Equals (int w dv - w_hat(r)) / r, w_hat the Laplace transform of
-        w, without that difference's cancellation as r -> 0: a mode
-        a e^{z v} gives a / (z (z - r)), and the continuous part's
-        origin piece adds its own closed form.
-        """
-        return (_modes_tail_laplace(self.amp, self.rate, r)
-                + self._kernel.tail_laplace_transform(r))
 
     def eval(self, v):
         """Kernel value w(v) = w1(v) + w2(v) for any v >= 0, of v's shape

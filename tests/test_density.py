@@ -14,8 +14,9 @@ Oracles used here, all independent of the code under test:
   from an mpmath study for the rest.
 
 The Laplace transform of q is checked twice: by the exact order swap
-in :func:`laplace_of_density` and by adaptive quadrature of q itself
-(``laplace_by_quadrature`` below).  Survival far in the tail is checked
+of its t-integral, which leaves the transform of the kernel's tail mass
+(``laplace_by_tail_mass`` below), and by adaptive quadrature of q
+itself (``laplace_by_quadrature``).  Survival far in the tail is checked
 against a Talbot inversion of the Laplace transform.
 
 The two internal evaluation routes (closed error-function dot products
@@ -51,7 +52,6 @@ from gbm_hitfun.density import (
     build_evaluator,
     cached_evaluator,
     dufresne_density,
-    laplace_of_density,
     laplace_ratio,
     q_density,
     rescale,
@@ -70,6 +70,7 @@ from gbm_hitfun.weight import (
     ModelParams,
     w_kappa_moment_tail,
     w_moment,
+    w_power_moment_tail,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -157,11 +158,29 @@ def q_density_basic(ev, t):
     return prefactor(lam, ts) * j_val
 
 
+def laplace_by_tail_mass(ev, r: float) -> float:
+    """int_0^infty e^{-r^2 t} q(t) dt by the exact swap of the t-integral.
+
+    Each piece of the direct route's J integrates in t in closed form,
+    which leaves e^{-lam r} [x^{mu-1/2} - lam int_0^infty e^{-r v} W(v)
+    dv], W(v) = int_v^infty w the kernel's exact tail mass.  Nothing
+    cancels as r -> 0, and only the kernel is shared with laplace_ratio;
+    the v-integral is scipy's quad over [0, 1/r, 10/r, 100/r, infinity).
+    """
+    p = ev.params
+    edges = (0.0, 1.0 / r, 10.0 / r, 100.0 / r, np.inf)
+    tail = sum(sint.quad(
+        lambda v: math.exp(-r * v) * w_power_moment_tail(ev.w, 0, v),
+        lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:]))
+    return math.exp(-p.lam * r) * (p.x ** (p.mu - 0.5) - p.lam * tail)
+
+
 def laplace_by_quadrature(ev, r: float) -> float:
     """int_0^infty e^{-r^2 t} q(t) dt by adaptive quadrature of q.
 
     The q-side of the Laplace check, sharing with
-    :func:`laplace_of_density` only the kernel; asked for 1e-10, it is
+    :func:`laplace_by_tail_mass` only the kernel; asked for 1e-10, it is
     3.6e-7 off at (mu, x, r) = (1.2, 2, 50), where the integrand is a
     narrow peak.
     """
@@ -417,8 +436,6 @@ def test_transform_domain_errors():
     with pytest.raises(DomainError):
         laplace_ratio(1.0, 2.0, 0.0)
     with pytest.raises(DomainError):
-        laplace_of_density(ev, 0.0)
-    with pytest.raises(DomainError):
         survival(ev, -1.0)
     with pytest.raises(DomainError):
         survival(ev, np.inf)
@@ -502,6 +519,27 @@ def test_laplace_ratio_driftless_reference():
     # and against scipy's unscaled Bessel quotient directly
     assert laplace_ratio(0.0, 2.0, 1.0) == pytest.approx(
         sp.kv(0, 2.0) / sp.kv(0, 1.0), rel=1e-13)
+
+
+# scipy's kve is nan from z = 2^30, where the transform has underflowed
+# to 0 unless x is within about 7e-7 of 1 (as the last x here is), and
+# K_mu(r) overflows at small r for mu > 1, where the transform is 1 to
+# double precision (it gave nan or 0 at both)
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.2, 2.2, 7.0, 10.0])
+def test_laplace_ratio_over_the_double_range(mu):
+    rs = [1e-300, 1e-100, 1e-43, 1e-20, 1e-8, 1e-3, 1.0, 10.0, 100.0,
+          700.0, 1e3, 1e9, 1e100, 1e300]
+    cases = [(x, rs) for x in (1.05, 2.0, 10.0)]
+    for x, rs in cases + [(1.0 + 1e-7, [1.05e9, 2e9, 4e9])]:
+        got = laplace_ratio(mu, x, np.array(rs))
+        with mp.workdps(30):
+            want = [float(mp.mpf(x) ** mu * mp.besselk(mu, x * mp.mpf(r))
+                          / mp.besselk(mu, r)) for r in rs]
+        for r, g, w in zip(rs, got, want):
+            if w >= 1e-300:
+                assert g == pytest.approx(w, rel=1e-13, abs=0.0), (x, r)
+            else:
+                assert 0.0 <= g <= 1e-300, (x, r)
 
 
 def test_laplace_ratio_scalar_and_array():
@@ -873,8 +911,8 @@ _LAPLACE_SPOTS = [
 def test_laplace_spot_checks(mu, x, r):
     ev = ev_for(mu, x)
     want = laplace_ratio(mu, x, r)
-    assert laplace_of_density(ev, r) == pytest.approx(want, rel=1e-10,
-                                                      abs=0.0)
+    assert laplace_by_tail_mass(ev, r) == pytest.approx(want, rel=1e-10,
+                                                        abs=0.0)
     assert laplace_by_quadrature(ev, r) == pytest.approx(want, abs=1e-8,
                                                          rel=1e-8)
 
@@ -885,7 +923,7 @@ def test_laplace_spot_checks(mu, x, r):
 @pytest.mark.parametrize("mu,x", [(mu, x) for mu, x, _ in _LAPLACE_SPOTS])
 @pytest.mark.parametrize("r", [1e-4, 50.0])
 def test_laplace_swap_at_small_and_large_r(mu, x, r):
-    got = laplace_of_density(ev_for(mu, x), r)
+    got = laplace_by_tail_mass(ev_for(mu, x), r)
     assert got == pytest.approx(laplace_ratio(mu, x, r), rel=1e-10, abs=0.0)
 
 
@@ -964,6 +1002,38 @@ def test_survival_far_part_is_linear(lam, big_t):
 def test_survival_at_zero_is_total_mass():
     ev = ev_for(1.0, 2.0)
     assert survival(ev, 0.0) == total_mass(ev)
+
+
+# from T = 1e-6 down (z0 = lam^2/4T >= 62500 here) the mass below T is
+# under 1e-17, so survival is the total mass, for float and numpy T alike
+@pytest.mark.parametrize("mu", [0.0, 1.2, 2.2, 7.0, 9.3])
+@pytest.mark.parametrize("x", [1.5, 2.0, 10.0])
+def test_survival_at_tiny_t_is_total_mass(mu, x):
+    ev = ev_for(mu, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [survival(ev, kind(big_t)) for kind in (float, np.float64)
+               for big_t in (1e-6, 1e-50, 1e-163, 1e-300)]
+    np.testing.assert_allclose(got, total_mass(ev), rtol=0.0, atol=1e-14)
+
+
+_SMALL_T_CANCELS = pytest.mark.xfail(
+    strict=True, reason="survival's remainder cancels at high drift and "
+    "small T; the table route of ROADMAP item 1 mends it")
+
+
+@pytest.mark.parametrize("mu,big_t", [
+    *[(mu, t) for mu in (1.2, 2.2, 3.7, 5.3)
+      for t in (0.1, 0.03, 0.01, 3e-3, 1e-3)],
+    *[pytest.param(mu, t, marks=_SMALL_T_CANCELS)
+      for mu in (7.0, 9.3) for t in (0.03, 0.01)],
+])
+def test_survival_at_small_t_is_mass_less_density_integral(mu, big_t):
+    ev = ev_for(mu, 2.0)
+    head = sint.quad(lambda t: q_density(ev, t), 0.0, big_t, epsabs=0.0,
+                     epsrel=1e-12, limit=200)[0]
+    assert survival(ev, big_t) == pytest.approx(total_mass(ev) - head,
+                                                rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,x", [(0.3, 2.0), (1.0, 2.0), (2.2, 1.2)])

@@ -19,6 +19,7 @@ Oracles used here, all independent of the code under test:
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,24 @@ def test_plane_kernel_far_radius_meets_tail_law(mu, rho):
 def test_plane_kernel_meets_tail_law_where_the_kernel_underflows(mu, rho):
     got = kernel_closed(PoissonParams(2, ModelParams(mu, 2.0), rho))
     assert got == pytest.approx(plane_tail_law(mu, 2.0, rho), rel=1e-12,
+                                abs=0.0)
+
+
+# farther out kappa = v (2 lam + v) leaves double range on the table's
+# extension panels (rho from about 3e153) or on the far part's (here
+# from 1e145), and DomainError names the radius; before, overflow
+# warnings came first, then a DomainError naming a v, and numpy's
+# ValueError from rho = 1.3e154
+@pytest.mark.parametrize("rho", [1e145, 1e150, 1e154, 1e160, 1e300])
+def test_plane_kernel_meets_tail_law_or_names_the_radius(rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = kernel_closed(PoissonParams(2, ModelParams(0.3, 2.0), rho))
+        except DomainError as err:
+            assert f"rho = {rho:g}" in str(err)
+            return
+    assert got == pytest.approx(plane_tail_law(0.3, 2.0, rho), rel=1e-10,
                                 abs=0.0)
 
 

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy import special as sp
 
 import gbm_hitfun
@@ -688,20 +687,6 @@ def test_power_moment_tail_difference_is_the_integral(p, lo, hi, rel):
     got = (w_power_moment_tail(rep, p, lo)
            - w_power_moment_tail(rep, p, hi))
     assert got == pytest.approx(want, rel=rel, abs=0.0)
-
-
-@pytest.mark.parametrize("mu", [0.3, 2.5, 7.0])
-@pytest.mark.parametrize("r", [0.3, 2.0, 10.0])
-def test_tail_laplace_transform_is_the_transform_of_the_tail_mass(mu, r):
-    # the two closed forms per mode, a / (z (z - r)) and the power-moment
-    # tail at p = 0, share only the kernel's modes; the tail mass
-    # W(v) = int_v^infty w is transformed here by adaptive quadrature
-    rep = build_w(ModelParams(mu, 2.0))
-    want = integrate.quad(
-        lambda v: math.exp(-r * v) * w_power_moment_tail(rep, 0, v),
-        0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    assert float(rep.tail_laplace_transform(r)) == pytest.approx(
-        want, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,want", [(1.5, 56.0), (2.5, -496.0)])
