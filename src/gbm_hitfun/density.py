@@ -21,7 +21,7 @@ kappa/sigma at the top falls short of it gets the fewest ratio-2
 panels past the top that reach it.  :func:`far_integral` owns the far
 part, int w f past the top, by more such panels;
 :func:`adaptive_integral` is the table's adaptive sibling up to a cut,
-for the two callers not yet on the table.  q takes two routes:
+for the two callers not yet on the table.  q takes three routes:
 
 * the direct route, for t up to t_switch: the polynomial part of E_l
   integrates to closed kernel moments and the e^{-kappa/4t} part, after
@@ -29,12 +29,19 @@ for the two callers not yet on the table.  q takes two routes:
   error functions over the kernel's short rule in log u (32-128 nodes).
   The pieces cancel as t grows, so every point carries a loss estimate:
   roundoff, the rule's measured deviation and a bound on the grid nodes
-  left out at small u;
-* the table route, for t beyond t_switch and for every point whose
-  estimate passes 2e-10: :func:`table_integral` of E_l at sigma = 4t
-  with reach 40, past which e^{-s} is below 1e-17 of the polynomial
-  part and the far part is nothing.  It covers every t > 0 (up to 2e99
-  at mu = 0) until the moment tails leave double range (DomainError).
+  left out at small u.  A point whose estimate passes 2e-12 is handed
+  over;
+* the interpolant route, for handed-over points in [t_lo, t_switch],
+  t_lo = max(lam^2/20, 1e-3): a barycentric interpolant of log J in
+  log t on 65-513 Chebyshev points, built once per evaluator from table
+  values (:func:`_log_j_series`), one product per call;
+* the table route, for t beyond t_switch, for handed-over points below
+  t_lo, and for every handed-over point where the interpolant does not
+  settle (next to odd half-integer mu): :func:`table_integral` of E_l
+  at sigma = 4t with reach 40, past which e^{-s} is below 1e-17 of the
+  polynomial part and the far part is nothing.  It covers every t > 0
+  (up to 2e99 at mu = 0) until the moment tails leave double range
+  (DomainError).
 
 Also here, each with one route: total mass from the kernel's first
 power moment; survival by the exact swap of the t-integral
@@ -74,9 +81,9 @@ from .weight import (
 _SQRT_PI = math.sqrt(math.pi)
 
 # relative roundoff budget of the direct route before it hands the
-# point over to the table route (the estimate can undershoot the
-# realized error by a small factor, hence the margin under 1e-9)
-_DIRECT_LOSS_TOL = 2e-10
+# point over (the estimate can undershoot the realized error 14-50
+# fold, hence the margin under 1e-10; handed-over points cost little)
+_DIRECT_LOSS_TOL = 2e-12
 
 # v-grid of the table route: 0.5-wide panels up to the knee follow w1,
 # which decays at least like e^{-1.37 v} for mu >= 3/2; ratio-2 panels
@@ -100,10 +107,13 @@ class DensityEvaluator:
     exponential inside the kernel integral: floor(mu + 1/2) in general
     and mu - 1/2 when that is a nonnegative integer (the largest
     subtraction the kernel tail can absorb).  t_switch caps the direct
-    route; points beyond it, and points below it whose direct-route
-    cancellation estimate crosses _DIRECT_LOSS_TOL (2e-10 relative),
-    take the table route.  The table route's t-independent factors are
-    built on the first such point and kept for the evaluator's life.
+    route; points below it whose direct-route cancellation estimate
+    crosses _DIRECT_LOSS_TOL (2e-12 relative) are handed over.  Those in
+    [t_lo, t_switch] take the interpolant of log J (_series) where it
+    exists; the rest, and every point beyond t_switch, the table route.
+    The table's t-independent factors and the interpolant are each built
+    on the first point that needs them and kept for the evaluator's
+    life.
     """
 
     w: WLambdaRep
@@ -139,6 +149,13 @@ class DensityEvaluator:
         edges = np.concatenate([np.arange(0.0, _TABLE_KNEE, 0.5),
                                 geometric_edges(_TABLE_KNEE, _TABLE_TOP)])
         return _table_panels(self, edges)
+
+    @functools.cached_property
+    def _series(self):
+        """The interpolant of log J that serves handed-over points in
+        [t_lo, t_switch] (:func:`_log_j_series`), built on the first
+        such point; None where it does not settle by 513 nodes."""
+        return _log_j_series(self)
 
 
 def build_evaluator(params: ModelParams) -> DensityEvaluator:
@@ -336,16 +353,125 @@ def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
     return v * (2.0 * lam + v), ev.w.eval_weighted(v, wts), top, tails
 
 
+def _j_table(ev: DensityEvaluator,
+             ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J(t) = [x^{mu-1/2}/(2t), l = 0] + :func:`table_integral` of E_l
+    at sigma = 4t, reach _POLY_S, and the l1 norm of its summands, at an
+    array of t > 0."""
+    p = ev.params
+    j_val, norm, _ = table_integral(ev, 4.0 * ts, lambda s: np.expm1(-s),
+                                    _EXP_COEFS, lambda j: 0.5 * (j + 1.0),
+                                    _POLY_S)
+    if ev.l_terms == 0:
+        lead = p.x ** (p.mu - 0.5) / (2.0 * ts)
+        j_val += lead
+        norm += lead
+    return j_val, norm
+
+
 def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
     """Density by the table route at an array of t > 0 (module
-    docstring): J(t) = [x^{mu-1/2}/(2t), l = 0] + :func:`table_integral`
-    of E_l at sigma = 4t, reach _POLY_S."""
-    p = ev.params
-    j_val = table_integral(ev, 4.0 * ts, lambda s: np.expm1(-s), _EXP_COEFS,
-                           lambda j: 0.5 * (j + 1.0), _POLY_S)[0]
-    if ev.l_terms == 0:
-        j_val += p.x ** (p.mu - 0.5) / (2.0 * ts)
-    return _prefactor(p.lam, ts) * j_val
+    docstring)."""
+    return _prefactor(ev.params.lam, ts) * _j_table(ev, ts)[0]
+
+
+def _series_lo(ev: DensityEvaluator) -> float:
+    """t_lo = max(lam^2/20, 1e-3), the bottom of the interpolant's
+    interval; below it, near x = 1, the table itself is off (1e-7 at
+    (mu, x, t) = (9.3, 1.05, 0.02 lam^2))."""
+    return max(ev.params.lam ** 2 / 20.0, 1e-3)
+
+
+def _table_noise(j_val: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Roundoff of the table route's log J: four roundoffs of its
+    summands' l1 norm over |J|."""
+    return 4.0 * 2.2e-16 * norm / np.abs(j_val)
+
+
+def _match_tol(basis: np.ndarray, node_noise: np.ndarray,
+               noise: np.ndarray) -> np.ndarray:
+    """The distance at which an interpolant of log J with Lagrange basis
+    rows `basis` matches table values of roundoff `noise`: that roundoff
+    plus the one it carries from its nodes (node_noise), summed through
+    the basis as independent errors, and at least 1e-12."""
+    return np.maximum(1e-12, noise + np.sqrt(basis ** 2 @ node_noise ** 2))
+
+
+def _cheb_points(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev points of the second kind on [-1, 1],
+    descending, in the symmetric form sin(pi (n - 2k) / 2n): point k of
+    n is bit for bit point 2k of 2n."""
+    return np.sin(0.5 * np.pi * np.arange(n, -n - 1.0, -2.0) / n)
+
+
+def _lagrange_basis(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i: the Lagrange basis of the Chebyshev points `nodes` at z_i
+    in [-1, 1], by the second barycentric formula (weights (-1)^k,
+    halved at both ends), so that basis @ f is the interpolant of f;
+    a z_i on a node gets that node's unit row."""
+    wts = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    diff = z[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    c = np.where(hit.any(axis=1)[:, None], hit,
+                 wts / np.where(hit, 1.0, diff))
+    return c / c.sum(axis=1)[:, None]
+
+
+def _log_j_series(ev: DensityEvaluator):
+    """Barycentric interpolant of log J in y = log t on [t_lo, t_switch]
+    from table values, or None.
+
+    J is positive and smooth in y.  Nested Chebyshev points of the
+    second kind start at 33 and double, so each doubling asks
+    :func:`table_integral` only for the new midpoints, 64 scales at a
+    time.  The larger interpolant is taken once the previous one
+    matches the table at every new node to :func:`_match_tol`.  The
+    carried part matters where the table cancels: at (mu, x) = (9.3,
+    1.5) its roundoff is 4e-10 for t >= 0.4, and the interpolant
+    spreads a few 1e-12 of it down to t_lo, where the table's own is
+    1e-14.  Past 513 nodes (next to odd half-integer mu, where the
+    match stalls at 2e-7 to 5e-7), or where a table value is not
+    positive, there is none.  Returns (log t_lo, log t_switch, nodes,
+    log J at them).
+    """
+    y_lo, y_hi = math.log(_series_lo(ev)), math.log(ev.t_switch)
+
+    def log_j(z):
+        ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + z))
+        j_val, norm = (np.concatenate(parts) for parts in zip(
+            *(_j_table(ev, ts[i:i + 64]) for i in range(0, ts.size, 64))))
+        if not np.all(j_val > 0.0):
+            return None, None
+        return np.log(j_val), _table_noise(j_val, norm)
+
+    n = 32
+    nodes = _cheb_points(n)
+    vals, noise = log_j(nodes)
+    while vals is not None and n < 512:
+        n *= 2
+        wider = _cheb_points(n)
+        new, new_noise = log_j(wider[1::2])
+        if new is None:
+            return None
+        basis = _lagrange_basis(nodes, wider[1::2])
+        matched = np.all(np.abs(basis @ vals - new)
+                         <= _match_tol(basis, noise, new_noise))
+        nodes = wider
+        vals = np.insert(new, np.arange(vals.size), vals)
+        noise = np.insert(new_noise, np.arange(noise.size), noise)
+        if matched:
+            return y_lo, y_hi, nodes, vals
+    return None
+
+
+def _q_series(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
+    """Density from the evaluator's interpolant of log J, at an array of
+    t in [t_lo, t_switch] (the interpolant must exist): one product."""
+    y_lo, y_hi, nodes, vals = ev._series
+    z = (2.0 * np.log(ts) - (y_lo + y_hi)) / (y_hi - y_lo)
+    return _prefactor(ev.params.lam, ts) * np.exp(_lagrange_basis(nodes, z)
+                                                  @ vals)
 
 
 def _at_points(f, t, what: str):
@@ -363,17 +489,24 @@ def q_density(ev: DensityEvaluator, t):
     """Density of the stopped functional at time(s) t > 0.
 
     Scalar in, scalar out; any array shape otherwise.  Points up to
-    ev.t_switch take the direct route; the rest, and direct points
-    whose roundoff estimate passes 2e-10, are evaluated together as one
-    product on the table route, whose v-grid the evaluator builds on
-    its first such point; together they cover every t > 0 (at mu = 0
-    up to about 2e99 at x = 2, then DomainError).  The table route
-    agrees with adaptive quadrature of J to 1e-10 relative for mu <= 8.6;
-    its summands can cancel by 1e5, and at (mu, x) = (9.3, 1.1), t =
-    0.7-6, it is up to 6.2e-10 off Talbot inversion.
-    End to end the direct route is up to 5.1e-10 off Talbot inversion,
-    at (mu, x, t) = (3.7, 2, 4.508), where its loss estimate reads 3e-11;
-    just above an even half-integer (1/2, 5/2, ...) the kernel itself
+    ev.t_switch take the direct route; those whose roundoff estimate
+    passes 2e-12 are handed over, and the ones in [t_lo, t_switch] are
+    served together by the evaluator's interpolant of log J, built from
+    the table on the first such point.  The rest, and every point beyond
+    t_switch, are evaluated together as one product on the table route,
+    whose v-grid the evaluator builds on its first such point; together
+    they cover every t > 0 (at mu = 0 up to about 2e99 at x = 2, then
+    DomainError).  The table route agrees with adaptive quadrature of J
+    to 1e-10 relative for mu <= 8.6; its summands can cancel by 1e5, and
+    at (mu, x) = (9.3, 1.1), t = 0.7-6, it is up to 6.2e-10 off Talbot
+    inversion, and at (9.3, 10, 1.62), below t_lo, 2.6e-10.  The
+    interpolant is within 1e-12 of the table wherever the table does not
+    cancel, and within the table's own roundoff where it does, so it
+    inherits the table's error: 5.0e-10 off Talbot at (9.3, 1.1, 1.08).  The
+    direct route's estimate can undershoot its error 14-50 fold: over
+    the benchmark's 272 reference points the route is at worst 1.3e-11
+    off Talbot, at (3.7, 2, 1.832), where the estimate reads 9.5e-13.
+    Just above an even half-integer (1/2, 5/2, ...) the kernel itself
     is off, by 2.1e-4 at (9/2 + 2e-12, 2, 1e5) (1.5e-6 at 9/2 + 1e-10).
     Nonnegative up to roundoff, integrates to one, and its Laplace
     transform matches :func:`laplace_ratio`.
@@ -384,8 +517,13 @@ def q_density(ev: DensityEvaluator, t):
         if direct.any():
             out[direct], loss = _q_direct_with_loss(ev, ts[direct])
             direct[direct] = loss <= _DIRECT_LOSS_TOL
-        if not direct.all():
-            out[~direct] = _q_table(ev, ts[~direct])
+        table = ~direct
+        series = table & (ts >= _series_lo(ev)) & (ts <= ev.t_switch)
+        if series.any() and ev._series is not None:
+            out[series] = _q_series(ev, ts[series])
+            table &= ~series
+        if table.any():
+            out[table] = _q_table(ev, ts[table])
         return out
 
     return _at_points(curve, t, "density defined for finite t > 0")

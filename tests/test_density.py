@@ -23,7 +23,9 @@ The two internal evaluation routes (closed error-function dot products
 for moderate t, the fixed v-grid table for large t and for the points
 the first one hands over) share no code past the kernel
 representation, so their pointwise agreement checked below is itself a
-strong oracle.  The table route is also checked against adaptive
+strong oracle.  The interpolant of log J that serves handed-over points
+is checked against the table it is built from, to the table's own
+roundoff.  The table route is also checked against adaptive
 quadrature of the same integral in s = kappa/4t (``q_substituted``
 below), and the closed kernel moment identities against a variant that
 integrates the moments numerically (``q_density_basic``).
@@ -47,8 +49,15 @@ from gbm_hitfun import density, poisson, weight
 from gbm_hitfun.density import (
     DensityEvaluator,
     TailConstant,
+    _cheb_points,
+    _j_table,
+    _lagrange_basis,
+    _match_tol,
     _q_direct_with_loss,
+    _q_series,
     _q_table,
+    _series_lo,
+    _table_noise,
     build_evaluator,
     cached_evaluator,
     dufresne_density,
@@ -592,16 +601,89 @@ def test_density_positive_on_wide_grid(mu, x):
 def test_cancellation_fallback_engages():
     # at mu = 5 the direct route loses more than the loss budget well
     # below t_switch; the dispatcher must hand those points to the
-    # table route, bit-for-bit
+    # interpolant of log J, which stays within 1e-12 of the table route
     ev = build_evaluator(ModelParams(5.0, 3.0))
     t_probe = 800.0
     assert t_probe < ev.t_switch
     _, loss = _q_direct_with_loss(ev, np.array([t_probe]))
     assert loss[0] > 2e-10
     got = q_density(ev, t_probe)
-    assert got == _q_table(ev, np.array([t_probe]))[0]
+    assert got == _q_series(ev, np.array([t_probe]))[0]
+    assert got == pytest.approx(_q_table(ev, np.array([t_probe]))[0],
+                                rel=1e-12, abs=0.0)
     assert got == pytest.approx(q_substituted(ev, t_probe), rel=1e-10,
                                 abs=0.0)
+
+
+def series_tolerance(ev, ts):
+    """The interpolant's match tolerance at ts (see _log_j_series): the
+    table's roundoff there plus the one carried from the nodes."""
+    y_lo, y_hi, nodes, _ = ev._series
+    node_ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + nodes))
+    z = (2.0 * np.log(ts) - (y_lo + y_hi)) / (y_hi - y_lo)
+    return _match_tol(_lagrange_basis(nodes, z),
+                      _table_noise(*_j_table(ev, node_ts)),
+                      _table_noise(*_j_table(ev, ts)))
+
+
+# the benchmark's high-drift pairs, then large x and x near 1
+@pytest.mark.parametrize("mu,x", [
+    (2.2, 2.0), (2.2, 3.0), (2.5, 2.0), (2.5, 3.0), (3.7, 2.0), (3.7, 3.0),
+    (5.3, 2.0), (5.3, 3.0), (7.0, 2.0), (7.0, 3.0), (9.3, 1.5),
+    (2.2, 10.0), (7.0, 1.05), (9.3, 1.1)])
+def test_log_j_series_matches_the_table(mu, x):
+    ev = ev_for(mu, x)
+    assert ev._series is not None
+    assert ev._series[2].size in (65, 129, 257, 513)
+    ts = np.geomspace(_series_lo(ev), ev.t_switch, 200)
+    rel = np.abs(_q_series(ev, ts) / _q_table(ev, ts) - 1.0)
+    assert np.all(rel <= 10.0 * series_tolerance(ev, ts))
+
+
+# next to an odd half-integer the interpolant's match with the table
+# stalls at 2e-7 (1.5 + 1e-9) and 5e-7 (3.5 + 1e-9); the table route
+# keeps q there
+@pytest.mark.parametrize("mu", [1.5 + 1e-9, 3.5 + 1e-9])
+def test_no_series_next_to_odd_half_integer(mu):
+    ev = build_evaluator(ModelParams(mu, 2.0))
+    ts = np.geomspace(_series_lo(ev), ev.t_switch, 60)
+    _, loss = _q_direct_with_loss(ev, ts)
+    handed = loss > density._DIRECT_LOSS_TOL
+    assert handed.any()
+    got = q_density(ev, ts)
+    assert ev._series is None
+    assert np.array_equal(got[handed], _q_table(ev, ts[handed]))
+
+
+def test_build_evaluator_leaves_the_series_to_first_use():
+    # built on the first handed-over point inside [t_lo, t_switch] only:
+    # not in build_evaluator, whose time the benchmark reports as setup,
+    # and not for points past t_switch, which the table serves
+    ev = build_evaluator(ModelParams(7.0, 2.0))
+    assert "_series" not in ev.__dict__
+    q_density(ev, np.array([2e3, 1e6]))
+    assert "_series" not in ev.__dict__
+    q_density(ev, 500.0)
+    assert ev._series is not None
+
+
+def test_direct_route_unchanged_by_the_series():
+    ev = build_evaluator(ModelParams(7.0, 2.0))
+    ts = np.geomspace(1e-2, ev.t_switch, 200)
+    _, loss = _q_direct_with_loss(ev, ts)
+    kept = ts[loss <= density._DIRECT_LOSS_TOL]
+    assert kept.size >= 20
+    before = q_density(ev, kept)
+    assert "_series" not in ev.__dict__
+    q_density(ev, ts)
+    assert ev._series is not None
+    assert np.array_equal(q_density(ev, kept), before)
+
+
+def test_chebyshev_points_nest():
+    # each doubling of the interpolant reuses every table value
+    for n in (32, 64, 128, 256):
+        assert np.array_equal(_cheb_points(2 * n)[::2], _cheb_points(n))
 
 
 # mu >= 9.5 is left out: there both routes sit about 1e-8 off the
