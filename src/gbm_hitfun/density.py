@@ -96,6 +96,9 @@ _TABLE_PTS = 20
 # from here on e^{-s} is below 1e-17 of the polynomial part of E_l(s),
 # so past a v with kappa/4t >= _POLY_S the kappa-moment tails are exact
 _POLY_S = 40.0
+# t per table_integral call: its summands take 64 x 1720 doubles (0.9
+# MB) a call, where 4000 t at once took 406 MB
+_TABLE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -357,11 +360,13 @@ def _j_table(ev: DensityEvaluator,
              ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """J(t) = [x^{mu-1/2}/(2t), l = 0] + :func:`table_integral` of E_l
     at sigma = 4t, reach _POLY_S, and the l1 norm of its summands, at an
-    array of t > 0."""
+    array of t > 0, _TABLE_ROWS t at a time."""
     p = ev.params
-    j_val, norm, _ = table_integral(ev, 4.0 * ts, lambda s: np.expm1(-s),
-                                    _EXP_COEFS, lambda j: 0.5 * (j + 1.0),
-                                    _POLY_S)
+    j_val, norm = (np.concatenate(parts) for parts in zip(*(
+        table_integral(ev, 4.0 * ts[i:i + _TABLE_ROWS],
+                       lambda s: np.expm1(-s), _EXP_COEFS,
+                       lambda j: 0.5 * (j + 1.0), _POLY_S)[:2]
+        for i in range(0, ts.size, _TABLE_ROWS))))
     if ev.l_terms == 0:
         lead = p.x ** (p.mu - 0.5) / (2.0 * ts)
         j_val += lead
@@ -424,13 +429,12 @@ def _log_j_series(ev: DensityEvaluator):
 
     J is positive and smooth in y.  Nested Chebyshev points of the
     second kind start at 33 and double, so each doubling asks
-    :func:`table_integral` only for the new midpoints, 64 scales at a
-    time.  The larger interpolant is taken once the previous one
-    matches the table at every new node to :func:`_match_tol`.  The
-    carried part matters where the table cancels: at (mu, x) = (9.3,
-    1.5) its roundoff is 4e-10 for t >= 0.4, and the interpolant
-    spreads a few 1e-12 of it down to t_lo, where the table's own is
-    1e-14.  Past 513 nodes (next to odd half-integer mu, where the
+    :func:`table_integral` only for the new midpoints.  The larger
+    interpolant is taken once the previous one matches the table at
+    every new node to :func:`_match_tol`.  The carried part matters
+    where the table cancels: at (mu, x) = (9.3, 1.5) its roundoff is
+    4e-10 for t >= 0.4, and the interpolant spreads a few 1e-12 of it
+    down to t_lo, where the table's own is 1e-14.  Past 513 nodes (next to odd half-integer mu, where the
     match stalls at 2e-7 to 5e-7), or where a table value is not
     positive, there is none.  Returns (log t_lo, log t_switch, nodes,
     log J at them).
@@ -439,8 +443,7 @@ def _log_j_series(ev: DensityEvaluator):
 
     def log_j(z):
         ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + z))
-        j_val, norm = (np.concatenate(parts) for parts in zip(
-            *(_j_table(ev, ts[i:i + 64]) for i in range(0, ts.size, 64))))
+        j_val, norm = _j_table(ev, ts)
         if not np.all(j_val > 0.0):
             return None, None
         return np.log(j_val), _table_noise(j_val, norm)
@@ -556,15 +559,44 @@ def _kve(nu: float, z: np.ndarray) -> np.ndarray:
                     * (1.0 + (nu * nu - 0.25) / (2.0 * big)))
 
 
+def _small_z_law(nu: float, log_z: np.ndarray) -> np.ndarray:
+    """E(z) at an array of log z, 0 <= nu < 1, with K_nu(z) = Gamma(1 +
+    nu) (z/2)^{-nu} E(z) (1 + O(z^2 / (1 - nu))) as z -> 0: the two-term
+    law E = [1 - g (z/2)^{2 nu}] / (2 nu), g = Gamma(1 - nu) / Gamma(1 +
+    nu), by expm1, and E = -log(z/2) - gamma at nu = 0.  Below nu =
+    1e-3, where 1 +- nu rounds in log Gamma, log g is its odd series
+    2 (gamma nu + zeta(3) nu^3 / 3 + zeta(5) nu^5 / 5)."""
+    log_half = log_z - math.log(2.0)
+    if nu == 0.0:
+        return -(log_half + np.euler_gamma)
+    if nu < 1e-3:
+        log_g = 2.0 * nu * (np.euler_gamma + nu * nu * (
+            sp.zeta(3.0) / 3.0 + nu * nu * sp.zeta(5.0) / 5.0))
+    else:
+        log_g = sp.gammaln(1.0 - nu) - sp.gammaln(1.0 + nu)
+    return -np.expm1(log_g + 2.0 * nu * log_half) / (2.0 * nu)
+
+
+# below this x r the transform takes its small-z law, exact to double
+# precision there; scipy's kve is inf below about z = 3e-305 and loses
+# digits near it (1 + 2.2e-14 at (0.3, 2, 1e-304))
+_LAW_XR = 1e-20
+
+
 def laplace_ratio(mu: float, x: float, r):
     """Closed form of the Laplace transform E exp(-r^2 A(tau)).
 
     Equals x^mu K_mu(x r) / K_mu(r), as x^nu K_nu(x r) / K_nu(r), mu =
-    nu + n, 0 <= nu < 1, times n factors x rho_k(x r) / rho_k(r), rho_k
-    = K_{nu+k+1} / K_{nu+k} = 1/rho_{k-1} + 2 (nu + k)/z from rho_{-1} =
-    K_nu / K_{1-nu}: no K of order above 1, which overflows at small r,
-    is formed.  Decreasing in r, with limit 1 as r -> 0+.  For a stop at
-    a general level a the transform is laplace_ratio(mu, x/a, a*r).
+    nu + n, 0 <= nu < 1, times n factors s_k(x r) / s_k(r), s_k(z) = z
+    K_{nu+k+1}(z) / K_{nu+k}(z) = 2 (nu + k) + z (z / s_{k-1}(z)), s_0 = 2
+    nu + z K_{1-nu} / K_nu: no K of order above 1, which overflows at
+    small r, is formed, nor 2 (nu + k) / z.  Where x r < 1e-20 the
+    order-nu factors come from the small-z law (:func:`_small_z_law`),
+    taken in log z so that x r need not be formed: the first is E(x r) /
+    E(r) and s_0 = 1 / E.  Elsewhere scipy's kve serves, down to r =
+    1e-300 (DomainError below, which needs x > 1e280).  Decreasing in
+    r, with limit 1 as r -> 0+.  For a stop at a general level a the
+    transform is laplace_ratio(mu, x/a, a*r).
     """
     if mu < 0 or not np.isfinite(mu):
         raise DomainError("drift parameter must satisfy mu >= 0")
@@ -573,12 +605,24 @@ def laplace_ratio(mu: float, x: float, r):
     nu, n = mu % 1.0, int(mu // 1.0)
 
     def transform(a):
-        za = (x * a, a)
-        out = x ** nu * _kve(nu, za[0]) / _kve(nu, za[1])
-        rho = [_kve(nu, z) / _kve(1.0 - nu, z) for z in za]
+        za = np.stack([x * a, a])
+        small = za[0] < _LAW_XR
+        if np.any(~small & (a < 1e-300)):
+            raise DomainError(f"the transform needs x r < {_LAW_XR:g} "
+                              f"below r = 1e-300, got x = {x:g}")
+        log_a = np.log(np.where(small, a, 1.0))
+        law = _small_z_law(nu, np.stack(
+            [np.where(small, math.log(x) + log_a, 0.0), log_a]))
+        zk = np.where(small, 1.0, za)
+        k_nu = _kve(nu, zk)
+        out = np.where(small, law[0] / law[1],
+                       x ** nu * k_nu[0] / k_nu[1])
+        s = np.where(small, 1.0 / law,
+                     2.0 * nu + zk * _kve(1.0 - nu, zk) / k_nu)
         for k in range(n):
-            rho = [1.0 / p + 2.0 * (nu + k) / z for p, z in zip(rho, za)]
-            out *= x * rho[0] / rho[1]
+            if k:
+                s = 2.0 * (nu + k) + za * (za / s)
+            out *= s[0] / s[1]
         return out * np.exp(-(x - 1.0) * a)
 
     return _at_points(transform, r, "transform defined for r > 0")
@@ -592,9 +636,13 @@ def total_mass(ev: DensityEvaluator) -> float:
 
     Integrating the representation in t first leaves
     x^{mu-1/2} - lam int_0^infty v w(v) dv, whose kernel moment the
-    weight module evaluates with all-positive terms; the result should
-    be 1 to near machine accuracy, so this doubles as the sharpest
-    global self-test of the kernel.
+    weight module evaluates with all-positive terms.  The two pieces
+    cancel by x^{mu-1/2}, so the relative error of that moment is
+    multiplied by it: |mass - 1| is 3e-14 at (mu, x) = (7, 2), but 8e-5
+    at (9.3, 10), 3e-3 at (3.7, 1e4) and 2e-2 at (7, 100), where the
+    moment itself holds to 1e-13.  Nothing is raised there yet: that
+    needs the kernel's relative residual, certified once per evaluator
+    (ROADMAP).
     """
     p = ev.params
     v1 = w_power_moment_tail(ev.w, 1, 0.0)

@@ -6,8 +6,11 @@ an explicit prefactor plus an integral against a kernel w_lam on
 [0, infinity).  The kernel splits into
 
 * a discrete part w1 = sum A_i e^{z_i v} over the zeros z_i of K_mu
-  (empty for mu < 3/2), taken as the real part of one mode 2 A_i
-  e^{z_i v} per conjugate pair of zeros, and
+  (empty for mu < 3/2), the residues A_i = -(x^mu/lam) z_i e^{lam z_i}
+  K_mu(x z_i)/K_{mu-1}(z_i), by one ratio of scaled Bessel functions
+  at every order (DomainError where x |z_i| reaches 2^30), taken as
+  the real part of one mode 2 A_i e^{z_i v} per conjugate pair of
+  zeros, and
 * a continuous part w2 = coef int h(u) u e^{-u v} du, h >= 0 a
   Bessel-product ratio; coef carries cos(pi mu), so w2 vanishes when
   mu - 1/2 is a nonnegative integer.
@@ -43,13 +46,7 @@ from scipy import special as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .bessel import (
-    KZeroSet,
-    gamma_fn,
-    is_half_integer,
-    k_zero_set,
-    reversed_bessel_theta,
-)
+from .bessel import KZeroSet, gamma_fn, is_half_integer, k_zero_set
 from .errors import ConvergenceError, DomainError
 from .quadrature import (
     gauss_legendre_panels,
@@ -134,25 +131,17 @@ def _discrete_modes(params: ModelParams,
     conjugate pair of zeros of K_mu: rate is the zero set's zeros (those
     with Im z >= 0) as stored, amp 2 A_i at a complex zero and the real
     A_i at a real one, A_i = -(x^mu/lam) z_i e^{lam z_i} K_mu(x z_i)
-    / K_{mu-1}(z_i).  For half-integer orders the K-ratio is taken
-    through the reversed Bessel polynomials, which cancels the
-    branch-sensitive square-root and exponential factors exactly
-    (scipy's kv is up to 4.2e-12 off it at (9.5, 1.05)):
-        e^{lam z} K_{m+1/2}(x z)/K_{m-1/2}(z)
-            = x^{-1/2} theta_m(1/(x z)) / theta_{m-1}(1/z).
+    / K_{mu-1}(z_i).  Since lam = x - 1, the K-ratio is the ratio of
+    scaled Bessel functions kve(mu, x z) / kve(|mu - 1|, z) at every
+    order, which does not overflow at large x.  scipy's kve is nan from
+    |x z| = 2^30 on (about x = 1e8 for mu <= 10): DomainError there.
     """
     mu, x, lam = params.mu, params.x, params.lam
     z = np.array(zeros.zeros, dtype=complex)
-    # mu = 1/2 has no zeros, and no theta_{-1}
-    if z.size and is_half_integer(mu):
-        m = int(round(mu - 0.5))
-        ratio = (x ** -0.5 * np.polyval(
-            reversed_bessel_theta(m)[::-1], 1.0 / (x * z))
-            / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
-    else:
-        # zeros of non-half-integer orders are strictly complex, so the
-        # principal branch is unambiguous
-        ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
+    if np.any(x * np.abs(z) >= 2.0 ** 30):
+        raise DomainError(f"the discrete amplitudes need x |z| < 2^30 at "
+                          f"every zero of K_{mu}, got x = {x:g}")
+    ratio = sp.kve(mu, x * z) / sp.kve(abs(mu - 1.0), z)
     amp = -(x ** mu / lam) * z * ratio
     return np.where(z.imag == 0.0, amp.real, 2.0 * amp), z
 

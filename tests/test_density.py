@@ -33,6 +33,7 @@ integrates the moments numerically (``q_density_basic``).
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -533,11 +534,12 @@ def test_laplace_ratio_driftless_reference():
 # scipy's kve is nan from z = 2^30, where the transform has underflowed
 # to 0 unless x is within about 7e-7 of 1 (as the last x here is), and
 # K_mu(r) overflows at small r for mu > 1, where the transform is 1 to
-# double precision (it gave nan or 0 at both)
+# double precision (it gave nan or 0 at both); kve itself is inf below
+# about 3e-305, where the small-z law serves (it gave nan)
 @pytest.mark.parametrize("mu", [0.0, 0.3, 1.2, 2.2, 7.0, 10.0])
 def test_laplace_ratio_over_the_double_range(mu):
-    rs = [1e-300, 1e-100, 1e-43, 1e-20, 1e-8, 1e-3, 1.0, 10.0, 100.0,
-          700.0, 1e3, 1e9, 1e100, 1e300]
+    rs = [5e-324, 1e-310, 1e-305, 1e-300, 1e-100, 1e-43, 1e-20, 1e-8,
+          1e-3, 1.0, 10.0, 100.0, 700.0, 1e3, 1e9, 1e100, 1e300]
     cases = [(x, rs) for x in (1.05, 2.0, 10.0)]
     for x, rs in cases + [(1.0 + 1e-7, [1.05e9, 2e9, 4e9])]:
         got = laplace_ratio(mu, x, np.array(rs))
@@ -549,6 +551,26 @@ def test_laplace_ratio_over_the_double_range(mu):
                 assert g == pytest.approx(w, rel=1e-13, abs=0.0), (x, r)
             else:
                 assert 0.0 <= g <= 1e-300, (x, r)
+
+
+# the small-z law's log g by its series below nu = 1e-3, where 1 +- nu
+# rounds in log Gamma, and next to nu = 1, where g is large
+@pytest.mark.parametrize("mu", [1e-12, 5e-4, 2.0005, 0.999, 9.999])
+def test_laplace_ratio_small_r_law_at_any_fractional_order(mu):
+    rs = [5e-324, 1e-305, 1e-25]
+    for x in (1.05, 1e4):
+        got = laplace_ratio(mu, x, np.array(rs))
+        with mp.workdps(30):
+            want = [float(mp.mpf(x) ** mu * mp.besselk(mu, x * mp.mpf(r))
+                          / mp.besselk(mu, r)) for r in rs]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), x
+
+
+def test_laplace_ratio_raises_below_both_reaches():
+    # below r = 1e-300 neither scipy's kve nor the small-z law (x r <
+    # 1e-20) holds once x passes 1e280
+    with pytest.raises(DomainError, match="x = 1e\\+290"):
+        laplace_ratio(0.3, 1e290, 1e-301)
 
 
 def test_laplace_ratio_scalar_and_array():
@@ -762,6 +784,231 @@ def test_density_talbot_literals_recompute():
             == _SURVIVAL_TALBOT[(1.5, 2.0, 1e10)])
 
 
+# q along the x-axis of the domain, from next to the hitting level to x =
+# 1e4, at t = f lam^2: q_talbot(mu, x, f * lam * lam) printed by repr
+# with mpmath 1.3.0, keyed (mu, x, f); recomputing the 192 takes about
+# 670 s on a shared 2-vCPU machine, 60-77 s each at mu = 7, f = 0.1
+X_AXIS_MUS = (0.0, 0.3, 2.2, 3.7, 5.5, 7.0, 9.3, 9.5)
+X_AXIS_FRACS = (0.1, 1.0, 100.0)
+_Q_TALBOT_X_AXIS = {
+    (0.0, 1.000001, 0.1): 732248762092.5326,
+    (0.0, 1.000001, 1.0): 219695534922.32336,
+    (0.0, 1.000001, 100.0): 281390294.96472526,
+    (0.3, 1.000001, 0.1): 732248981767.0778,
+    (0.3, 1.000001, 1.0): 219695600830.941,
+    (0.3, 1.000001, 100.0): 281390379.3792517,
+    (2.2, 1.000001, 0.1): 732250373040.4213,
+    (2.2, 1.000001, 1.0): 219696018251.72684,
+    (2.2, 1.000001, 100.0): 281390913.88755476,
+    (3.7, 1.000001, 0.1): 732251471415.6073,
+    (3.7, 1.000001, 1.0): 219696347793.89224,
+    (3.7, 1.000001, 100.0): 281391335.7250042,
+    (5.5, 1.000001, 0.1): 732252789467.5703,
+    (5.5, 1.000001, 1.0): 219696743243.83826,
+    (5.5, 1.000001, 100.0): 281391841.76363444,
+    (7.0, 1.000001, 0.1): 732253887845.6561,
+    (7.0, 1.000001, 1.0): 219697072784.91617,
+    (7.0, 1.000001, 100.0): 281392263.3239014,
+    (9.3, 1.000001, 0.1): 732255572027.9475,
+    (9.3, 1.000001, 1.0): 219697578080.27554,
+    (9.3, 1.000001, 100.0): 281392909.4716044,
+    (9.5, 1.000001, 0.1): 732255718478.7279,
+    (9.5, 1.000001, 1.0): 219697622018.9475,
+    (9.5, 1.000001, 100.0): 281392965.6443619,
+    (0.0, 1.001, 0.1): 731883.2961728747,
+    (0.0, 1.001, 1.0): 219585.93401070632,
+    (0.0, 1.001, 100.0): 281.25675430705115,
+    (0.3, 1.001, 0.1): 732102.7777762938,
+    (0.3, 1.001, 1.0): 219651.767020046,
+    (0.3, 1.001, 100.0): 281.33861399819364,
+    (2.2, 1.001, 0.1): 733494.0509795871,
+    (2.2, 1.001, 1.0): 220068.25002862184,
+    (2.2, 1.001, 100.0): 281.7418779842581,
+    (3.7, 1.001, 0.1): 734593.9177163877,
+    (3.7, 1.001, 1.0): 220396.4884692702,
+    (3.7, 1.001, 100.0): 281.9193503156603,
+    (5.5, 1.001, 0.1): 735915.4983915959,
+    (5.5, 1.001, 1.0): 220789.71214734332,
+    (5.5, 1.001, 100.0): 281.96785404099273,
+    (7.0, 1.001, 0.1): 737018.2672702676,
+    (7.0, 1.001, 1.0): 221116.84217219806,
+    (7.0, 1.001, 100.0): 281.8711583728626,
+    (9.3, 1.001, 0.1): 738711.7450471151,
+    (9.3, 1.001, 1.0): 221617.4502607444,
+    (9.3, 1.001, 100.0): 281.48113606276314,
+    (9.5, 1.001, 0.1): 738859.1508490589,
+    (9.5, 1.001, 1.0): 221660.92432503693,
+    (9.5, 1.001, 100.0): 281.4334204421677,
+    (0.0, 1.05, 0.1): 285.85766372076785,
+    (0.0, 1.05, 1.0): 85.80889604248968,
+    (0.0, 1.05, 100.0): 0.113441159765844,
+    (0.3, 1.05, 0.1): 290.0663840524069,
+    (0.3, 1.05, 1.0): 87.05640225043533,
+    (0.3, 1.05, 100.0): 0.11378580432552919,
+    (2.2, 1.05, 0.1): 317.88497825026747,
+    (2.2, 1.05, 1.0): 94.49208135855561,
+    (2.2, 1.05, 100.0): 0.06786975684255098,
+    (3.7, 1.05, 0.1): 341.30800788584116,
+    (3.7, 1.05, 1.0): 99.65242371738186,
+    (3.7, 1.05, 100.0): 0.023831281795316996,
+    (5.5, 1.05, 0.1): 371.18392470161155,
+    (5.5, 1.05, 1.0): 104.80100616092373,
+    (5.5, 1.05, 100.0): 0.0033823055787046284,
+    (7.0, 1.05, 0.1): 397.60376687822645,
+    (7.0, 1.05, 1.0): 108.07765582694499,
+    (7.0, 1.05, 100.0): 0.0003935348765074942,
+    (9.3, 1.05, 0.1): 440.9015956946093,
+    (9.3, 1.05, 1.0): 111.08501155395554,
+    (9.3, 1.05, 100.0): 6.674794503659534e-06,
+    (9.5, 1.05, 0.1): 444.8299108042781,
+    (9.5, 1.05, 1.0): 111.22464659468939,
+    (9.5, 1.05, 100.0): 4.50712074551845e-06,
+    (0.0, 10.0, 0.1): 0.003231701959285744,
+    (0.0, 10.0, 1.0): 0.001327127675302976,
+    (0.0, 10.0, 100.0): 5.546748134271574e-06,
+    (0.3, 10.0, 0.1): 0.006168369454995118,
+    (0.3, 10.0, 1.0): 0.0022547501724728574,
+    (0.3, 10.0, 100.0): 5.8598017670479645e-06,
+    (2.2, 10.0, 0.1): 0.06097534662385693,
+    (2.2, 10.0, 1.0): 0.000614973565567024,
+    (2.2, 10.0, 100.0): 3.348255485358266e-10,
+    (3.7, 10.0, 0.1): 0.08586425037190902,
+    (3.7, 10.0, 1.0): 2.7929945071212023e-05,
+    (3.7, 10.0, 100.0): 1.5168085270715976e-14,
+    (5.5, 10.0, 0.1): 0.05176611753141183,
+    (5.5, 10.0, 1.0): 2.683948880280994e-07,
+    (5.5, 10.0, 100.0): 3.658481733207723e-20,
+    (7.0, 10.0, 0.1): 0.020368346217816493,
+    (7.0, 10.0, 1.0): 3.3466268931488115e-09,
+    (7.0, 10.0, 100.0): 4.560465061102135e-25,
+    (9.3, 10.0, 0.1): 0.0025390992867950213,
+    (9.3, 10.0, 1.0): 2.0945943359746175e-12,
+    (9.3, 10.0, 100.0): 7.168001863350359e-33,
+    (9.5, 10.0, 0.1): 0.002054036225732979,
+    (9.5, 10.0, 1.0): 1.0692409643341784e-12,
+    (9.5, 10.0, 100.0): 1.4566909231866864e-33,
+    (0.0, 30.0, 0.1): 0.00020988244122674475,
+    (0.0, 30.0, 1.0): 0.00010117983518929983,
+    (0.0, 30.0, 100.0): 5.260262068279694e-07,
+    (0.3, 30.0, 0.1): 0.0005259571714092325,
+    (0.3, 30.0, 1.0): 0.00021112257060911785,
+    (0.3, 30.0, 100.0): 6.054468635168243e-07,
+    (2.2, 30.0, 0.1): 0.006469772778838151,
+    (2.2, 30.0, 1.0): 4.5377829310899036e-05,
+    (2.2, 30.0, 100.0): 2.3560533432678424e-11,
+    (3.7, 30.0, 0.1): 0.007472326864017034,
+    (3.7, 30.0, 1.0): 1.6593105873626573e-06,
+    (3.7, 30.0, 100.0): 8.613230189276445e-16,
+    (5.5, 30.0, 0.1): 0.0034992097629273,
+    (5.5, 30.0, 1.0): 1.2319802443402996e-08,
+    (5.5, 30.0, 100.0): 1.6062359461181766e-21,
+    (7.0, 30.0, 0.1): 0.0011130783095180169,
+    (7.0, 30.0, 1.0): 1.2394249266316518e-10,
+    (7.0, 30.0, 100.0): 1.615896490149724e-26,
+    (9.3, 30.0, 0.1): 0.00010002666790734265,
+    (9.3, 30.0, 1.0): 5.58291252109367e-14,
+    (9.3, 30.0, 100.0): 1.828285108791905e-34,
+    (9.5, 30.0, 0.1): 7.864459309437555e-05,
+    (9.5, 30.0, 1.0): 2.7695996281404648e-14,
+    (9.5, 30.0, 100.0): 3.6107669985043534e-35,
+    (0.0, 100.0, 0.1): 1.2619571815770355e-05,
+    (0.0, 100.0, 1.0): 6.995483135439513e-06,
+    (0.0, 100.0, 100.0): 4.2820994314563084e-08,
+    (0.3, 100.0, 0.1): 4.12867637695433e-05,
+    (0.3, 100.0, 1.0): 1.781845520289925e-05,
+    (0.3, 100.0, 100.0): 5.4098289213189314e-08,
+    (2.2, 100.0, 0.1): 0.0005668368782719349,
+    (2.2, 100.0, 1.0): 3.5521698759190733e-06,
+    (2.2, 100.0, 100.0): 1.820501105001634e-12,
+    (3.7, 100.0, 0.1): 0.000610005902663704,
+    (3.7, 100.0, 1.0): 1.2089460751099671e-07,
+    (3.7, 100.0, 100.0): 6.195770148346009e-17,
+    (5.5, 100.0, 0.1): 0.0002622270453309098,
+    (5.5, 100.0, 1.0): 8.236871166989903e-10,
+    (5.5, 100.0, 100.0): 1.0603465078062478e-22,
+    (7.0, 100.0, 0.1): 7.766096671183254e-05,
+    (7.0, 100.0, 1.0): 7.714220465630657e-12,
+    (7.0, 100.0, 100.0): 9.930623619435917e-28,
+    (9.3, 100.0, 0.1): 6.2543382296572926e-06,
+    (9.3, 100.0, 1.0): 3.113682515620361e-15,
+    (9.3, 100.0, 100.0): 1.0068341114237754e-35,
+    (9.5, 100.0, 0.1): 4.870722032626365e-06,
+    (9.5, 100.0, 1.0): 1.5299827606813717e-15,
+    (9.5, 100.0, 100.0): 1.9695639031365072e-36,
+    (0.0, 1000.0, 0.1): 7.51313939492718e-08,
+    (0.0, 1000.0, 1.0): 4.9494510963696175e-08,
+    (0.0, 1000.0, 100.0): 3.6809829340340473e-10,
+    (0.3, 1000.0, 0.1): 3.741369848654959e-07,
+    (0.3, 1000.0, 1.0): 1.7283823633302883e-07,
+    (0.3, 1000.0, 100.0): 5.476849985527675e-10,
+    (2.2, 1000.0, 0.1): 5.600587358339184e-06,
+    (2.2, 1000.0, 1.0): 3.3678580881881866e-08,
+    (2.2, 1000.0, 100.0): 1.7181347856925947e-14,
+    (3.7, 1000.0, 0.1): 5.866062533995149e-06,
+    (3.7, 1000.0, 1.0): 1.1154939992967832e-09,
+    (3.7, 1000.0, 100.0): 5.6907643042396435e-19,
+    (5.5, 1000.0, 0.1): 2.4409002376609484e-06,
+    (5.5, 1000.0, 1.0): 7.356490682820505e-12,
+    (5.5, 1000.0, 100.0): 9.427011170829762e-25,
+    (7.0, 1000.0, 0.1): 7.03538417558138e-07,
+    (7.0, 1000.0, 1.0): 6.705150315467167e-14,
+    (7.0, 1000.0, 100.0): 8.592347646440362e-30,
+    (9.3, 1000.0, 0.1): 5.4348783830530025e-08,
+    (9.3, 1000.0, 1.0): 2.59603513000291e-17,
+    (9.3, 1000.0, 100.0): 8.356297213980468e-38,
+    (9.5, 1000.0, 0.1): 4.21725503938588e-08,
+    (9.5, 1000.0, 1.0): 1.2710147859280435e-17,
+    (9.5, 1000.0, 100.0): 1.6287480755400335e-38,
+    (0.0, 10000.0, 0.1): 5.30098194169039e-10,
+    (0.0, 10000.0, 1.0): 3.8409754413355283e-10,
+    (0.0, 10000.0, 100.0): 3.2050872747678665e-12,
+    (0.3, 10000.0, 0.1): 3.6449661490638608e-09,
+    (0.3, 10000.0, 1.0): 1.7197509539811527e-09,
+    (0.3, 10000.0, 100.0): 5.51145079442184e-12,
+    (2.2, 10000.0, 0.1): 5.593566951452155e-08,
+    (2.2, 10000.0, 1.0): 3.350016070829038e-10,
+    (2.2, 10000.0, 100.0): 1.7082690722356817e-16,
+    (3.7, 10000.0, 0.1): 5.842906876843077e-08,
+    (3.7, 10000.0, 1.0): 1.10659070467901e-11,
+    (3.7, 10000.0, 100.0): 5.642822698976015e-21,
+    (5.5, 10000.0, 0.1): 2.4233966209063097e-08,
+    (5.5, 10000.0, 1.0): 7.274155022607129e-14,
+    (5.5, 10000.0, 100.0): 9.317339896053303e-27,
+    (7.0, 10000.0, 0.1): 6.9660899123404774e-09,
+    (7.0, 10000.0, 1.0): 6.612217494862122e-16,
+    (7.0, 10000.0, 100.0): 8.469475514335905e-32,
+    (9.3, 10000.0, 0.1): 5.359103501615195e-10,
+    (9.3, 10000.0, 1.0): 2.5494717249409764e-19,
+    (9.3, 10000.0, 100.0): 8.202752089548393e-40,
+    (9.5, 10000.0, 0.1): 4.156959083611896e-10,
+    (9.5, 10000.0, 1.0): 1.2477678886475801e-19,
+    (9.5, 10000.0, 100.0): 1.5982443993177707e-40,
+}
+
+
+# worst 5.9e-11, at (9.5, 1.05, 100); the amplitudes overflowed to nan
+# from x = 300 at mu >= 3.7 while they were formed with unscaled K
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("x", [1.0 + 1e-6, 1.001, 1.05, 10.0, 30.0, 100.0,
+                               1e3, 1e4])
+def test_density_along_x_matches_talbot(x):
+    lam = x - 1.0
+    ts = np.array([f * lam * lam for f in X_AXIS_FRACS])
+    for mu in X_AXIS_MUS:
+        want = [_Q_TALBOT_X_AXIS[(mu, x, f)] for f in X_AXIS_FRACS]
+        assert q_density(build_evaluator(ModelParams(mu, x)), ts) == (
+            pytest.approx(want, rel=1e-10, abs=0.0)), mu
+
+
+@pytest.mark.slow
+def test_density_along_x_literals_recompute():
+    # two of the cheapest entries, at both ends of the axis, 0.1 s each
+    for mu, x, f in [(0.3, 1.0 + 1e-6, 100.0), (9.5, 1e4, 1.0)]:
+        lam = x - 1.0
+        assert (q_talbot(mu, x, f * lam * lam)
+                == _Q_TALBOT_X_AXIS[(mu, x, f)]), (mu, x)
+
+
 # at half-integer mu the kernel is e^{z v} terms alone, which a single
 # quadrature panel from 10 (1 + lam) to 0.5 sqrt(T) used to miss
 @pytest.mark.parametrize("mu", [0.3, 1.2, 1.5, 2.5, 3.5])
@@ -835,6 +1082,21 @@ def test_table_route_value_does_not_depend_on_the_other_points(mu, x):
     ev = ev_for(mu, x)
     ts = np.array([5e3, 1e14, 1e17, 1e20, 1e30])
     assert np.array_equal(q_density(ev, ts), [q_density(ev, t) for t in ts])
+
+
+def test_table_route_memory_is_chunk_sized():
+    # 4000 t past t_switch: one table product over all of them peaked at
+    # 406 MB; the table takes 64 t at a time
+    ev = ev_for(7.0, 2.0)
+    ts = np.geomspace(2e3, 1e9, 4000)
+    q_density(ev, ts[0])    # the table is built on first use
+    tracemalloc.start()
+    try:
+        q_density(ev, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # past a large cut the kappa-moment tails met 0 * inf (NaN at t = 1e30,

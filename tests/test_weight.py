@@ -8,6 +8,7 @@ Oracles used here:
   forms into h,
 * analytic moment identities obtained by integrating the exponentials
   in v first (independent of the quadrature grid),
+* the discrete amplitudes by mpmath's besselk at the same float zeros,
 * the defining Laplace-transform identity of the kernel, checked
   against scipy's scaled Bessel ratio at machine precision.
 
@@ -27,16 +28,13 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 
 import gbm_hitfun
-from gbm_hitfun.bessel import (
-    is_half_integer,
-    k_zero_set,
-    reversed_bessel_theta,
-)
+from gbm_hitfun.bessel import k_zero_set
 from gbm_hitfun.errors import DomainError
 from gbm_hitfun.quadrature import (
     QuadratureSpec,
@@ -242,17 +240,10 @@ def test_w1_polynomial_decay():
 
 def discrete_amplitude(mu: float, x: float, z: complex) -> complex:
     """A = -(x^mu/lam) z e^{lam z} K_mu(x z)/K_{mu-1}(z) at one zero z of
-    K_mu, taken at z itself; at half-integer mu the K-ratio is
-    x^{-1/2} theta_m(1/(x z))/theta_{m-1}(1/z), m = mu - 1/2."""
-    lam = x - 1.0
-    if is_half_integer(mu):
-        m = int(round(mu - 0.5))
-        ratio = (x ** -0.5 * np.polyval(reversed_bessel_theta(m)[::-1],
-                                        1.0 / (x * z))
-                 / np.polyval(reversed_bessel_theta(m - 1)[::-1], 1.0 / z))
-    else:
-        ratio = np.exp(lam * z) * sp.kv(mu, x * z) / sp.kv(abs(mu - 1.0), z)
-    return -(x ** mu / lam) * z * ratio
+    K_mu, taken at z itself, e^{lam z} folded into scaled Bessel
+    functions (lam = x - 1)."""
+    return (-(x ** mu / (x - 1.0)) * z * sp.kve(mu, x * z)
+            / sp.kve(abs(mu - 1.0), z))
 
 
 def test_discrete_terms_conjugate_pairs():
@@ -274,6 +265,40 @@ def test_discrete_terms_conjugate_pairs():
         err = np.abs(rep.w1(v) - terms.sum(axis=1).real)
         assert np.all(err <= 8.0 * np.finfo(float).eps
                       * np.abs(terms).sum(axis=1)), (mu, x)
+
+
+# drifts with zeros next to the cut (1.5, 3.5, 7.5, 9.5) and between,
+# from next to the hitting level to far from it
+SWEEP_MUS = (1.5, 2.2, 3.5, 5.5, 7.0, 7.5, 9.3, 9.5)
+SWEEP_XS = (1.001, 1.05, 2.0, 10.0, 300.0, 1e4)
+
+
+def amplitude_mpmath(mu: float, x: float, z: complex) -> complex:
+    """A at the float zero z by mpmath at 40 digits."""
+    with mp.workdps(40):
+        m, xx, zz = mp.mpf(mu), mp.mpf(x), mp.mpc(z)
+        lam = xx - 1
+        return complex(-(xx ** m / lam) * zz * mp.exp(lam * zz)
+                       * mp.besselk(m, xx * zz) / mp.besselk(abs(m - 1), zz))
+
+
+# worst 8.6e-13, at (9.3, 1.001); 3.5 +- 5e-13 sits within the zero
+# set's half-integer tolerance, with a real zero on the cut
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("mu", SWEEP_MUS + (3.5 - 5e-13, 3.5 + 5e-13))
+def test_discrete_amplitudes_match_mpmath(mu):
+    for x in SWEEP_XS:
+        rep = build_w(ModelParams(mu, x))
+        want = np.array([amplitude_mpmath(mu, x, z) for z in rep.rate])
+        want = np.where(rep.rate.imag == 0.0, want.real, 2.0 * want)
+        assert np.all(np.abs(rep.amp - want) <= 2e-12 * np.abs(want)), x
+
+
+def test_discrete_amplitudes_raise_where_kve_ends():
+    # scipy's kve is nan from |z| = 2^30; the zeros of K_2.2 have
+    # modulus 1.5
+    with pytest.raises(DomainError, match="x = 1e"):
+        build_w(ModelParams(2.2, 1e9))
 
 
 # ---------------------------------------------------------------------
@@ -332,7 +357,6 @@ def test_w2_tail_limit_mu_zero():
     # corrections, so compare with Watson's lemma before the limit: the
     # law h ~ log x e^{-lam u} / (L^2 + pi^2), L = log(2/u) - gamma,
     # exact to O(u^2 log u), integrated in s = u v by mpmath
-    import mpmath as mp
     x = 2.0
     p = ModelParams(0.0, x)
     rep = build_w(p)
@@ -620,6 +644,20 @@ def test_moment_one_example():
     # mu = 3/2, lam = 1: integral of v(2+v) e^{-v} dv = 4
     rep = build_w(ModelParams(1.5, 2.0))
     assert w_moment(rep, 1) == pytest.approx(4.0, abs=1e-12)
+
+
+# worst 1.6e-13, at (2.2, 1.001); with unscaled K the moments were nan
+# at 5 of these pairs (x >= 300) and 7e-11 off at mu = 9.5
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("mu", SWEEP_MUS)
+def test_moment_identities_along_x(mu):
+    for x in SWEEP_XS:
+        rep = build_w(ModelParams(mu, x))
+        scale = x ** (mu - 0.5)
+        assert w_moment(rep, 0) == pytest.approx(
+            scale * (mu * mu - 0.25) / (2.0 * x), rel=1e-12, abs=0.0), x
+        assert w_moment(rep, 1) == pytest.approx(
+            2.0 * scale, rel=1e-12, abs=0.0), x
 
 
 def test_moment_two_vanishes_five_halves():
