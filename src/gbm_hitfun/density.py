@@ -23,25 +23,25 @@ part, int w f past the top, by more such panels;
 :func:`adaptive_integral` is the table's adaptive sibling up to a cut,
 for the two callers not yet on the table.  q takes three routes:
 
-* the direct route, for t up to t_switch: the polynomial part of E_l
-  integrates to closed kernel moments and the e^{-kappa/4t} part, after
-  completing the square in v, to a dot product of scaled complementary
-  error functions over the kernel's short rule in log u (32-128 nodes).
-  The pieces cancel as t grows, so every point carries a loss estimate:
-  roundoff, the rule's measured deviation and a bound on the grid nodes
-  left out at small u.  A point whose estimate passes 2e-12 is handed
-  over;
-* the interpolant route, for handed-over points in [t_lo, t_switch],
-  t_lo = max(lam^2/20, 1e-3): a barycentric interpolant of log J in
-  log t on 65-513 Chebyshev points, built once per evaluator from table
-  values (:func:`_log_j_series`), one product per call;
-* the table route, for t beyond t_switch, for handed-over points below
-  t_lo, and for every handed-over point where the interpolant does not
-  settle (next to odd half-integer mu): :func:`table_integral` of E_l
-  at sigma = 4t with reach 40, past which e^{-s} is below 1e-17 of the
-  polynomial part and the far part is nothing.  It covers every t > 0
-  (up to 2e99 at mu = 0) until the moment tails leave double range
-  (DomainError).
+* the interpolant route, for t in [t_lo, t_switch], t_lo = max(lam^2/20,
+  1e-3), t_switch = 1e3 max(1, lam^2): a barycentric interpolant of log
+  J in log t on 65-513 Chebyshev points, built from table values
+  (:func:`_log_j_series`) on the evaluator's first point there (9-15 ms
+  at low drift, up to 170 ms at high drift), one product per call;
+* the direct route, below t_lo, and up to t_switch where the interpolant
+  does not settle (next to odd half-integer mu): the polynomial
+  part of E_l integrates to closed kernel moments and the e^{-kappa/4t}
+  part, after completing the square in v, to a dot product of scaled
+  complementary error functions over the kernel's short rule in log u
+  (32-128 nodes).  The pieces cancel as t grows, so every point carries
+  a loss estimate: roundoff, the rule's measured deviation and a bound
+  on the grid nodes left out at small u.  A point whose estimate passes
+  2e-12 is handed over to the table;
+* the table route, for t beyond t_switch and for the handed-over points:
+  :func:`table_integral` of E_l at sigma = 4t with reach 40, past which
+  e^{-s} is below 1e-17 of the polynomial part and the far part is
+  nothing.  It covers every t > 0 (up to 2e99 at mu = 0) until the
+  moment tails leave double range (DomainError).
 
 Also here, each with one route: total mass from the kernel's first
 power moment; survival by the exact swap of the t-integral
@@ -109,14 +109,14 @@ class DensityEvaluator:
     l_terms is the number of polynomial terms subtracted from the
     exponential inside the kernel integral: floor(mu + 1/2) in general
     and mu - 1/2 when that is a nonnegative integer (the largest
-    subtraction the kernel tail can absorb).  t_switch caps the direct
-    route; points below it whose direct-route cancellation estimate
-    crosses _DIRECT_LOSS_TOL (2e-12 relative) are handed over.  Those in
-    [t_lo, t_switch] take the interpolant of log J (_series) where it
-    exists; the rest, and every point beyond t_switch, the table route.
-    The table's t-independent factors and the interpolant are each built
-    on the first point that needs them and kept for the evaluator's
-    life.
+    subtraction the kernel tail can absorb).  Points in [t_lo, t_switch]
+    take the interpolant of log J (_series) where it exists; the rest up
+    to t_switch take the direct route, which hands a point whose
+    cancellation estimate crosses _DIRECT_LOSS_TOL (2e-12 relative) to
+    the table route, as it does every point beyond t_switch.  The
+    table's t-independent factors, the interpolant and the direct
+    route's short rule are each built on the first point that needs them
+    and kept for the evaluator's life.
     """
 
     w: WLambdaRep
@@ -155,9 +155,9 @@ class DensityEvaluator:
 
     @functools.cached_property
     def _series(self):
-        """The interpolant of log J that serves handed-over points in
-        [t_lo, t_switch] (:func:`_log_j_series`), built on the first
-        such point; None where it does not settle by 513 nodes."""
+        """The interpolant of log J that serves the points in [t_lo,
+        t_switch] (:func:`_log_j_series`), built on the first such
+        point; None where it does not settle by 513 nodes."""
         return _log_j_series(self)
 
 
@@ -320,9 +320,9 @@ def _prefactor(lam: float, ts: np.ndarray) -> np.ndarray:
     return lam * np.exp(-lam * lam / (4.0 * ts)) / np.sqrt(np.pi * ts)
 
 
-def _q_direct_with_loss(ev: DensityEvaluator,
+def _j_direct_with_loss(ev: DensityEvaluator,
                         ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Direct-route density plus its relative roundoff estimate.
+    """J by the direct route plus its relative roundoff estimate.
 
     J(t) = x^{mu-1/2}/(2t) - M0 + S(t) with the exact moment
     M0 = x^{mu-1/2}(mu^2 - 1/4)/(2x); for l = 0 this is the plain
@@ -332,8 +332,7 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     the largest piece plus the error bound that comes with S (see
     WLambdaRep.exp_weighted_integral), over |J|.
     """
-    p = ev.params
-    mu, lam, x = p.mu, p.lam, p.x
+    mu, x = ev.params.mu, ev.params.x
     xi = x ** (mu - 0.5)
     m0 = xi * (mu * mu - 0.25) / (2.0 * x)
     lead = xi / (2.0 * ts)
@@ -341,7 +340,7 @@ def _q_direct_with_loss(ev: DensityEvaluator,
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
     loss = (2.3e-16 * scale + s_err) / np.maximum(np.abs(j_val), 1e-300)
-    return _prefactor(lam, ts) * j_val, loss
+    return j_val, loss
 
 
 def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
@@ -374,12 +373,6 @@ def _j_table(ev: DensityEvaluator,
     return j_val, norm
 
 
-def _q_table(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
-    """Density by the table route at an array of t > 0 (module
-    docstring)."""
-    return _prefactor(ev.params.lam, ts) * _j_table(ev, ts)[0]
-
-
 def _series_lo(ev: DensityEvaluator) -> float:
     """t_lo = max(lam^2/20, 1e-3), the bottom of the interpolant's
     interval; below it, near x = 1, the table itself is off (1e-7 at
@@ -409,13 +402,18 @@ def _cheb_points(n: int) -> np.ndarray:
     return np.sin(0.5 * np.pi * np.arange(n, -n - 1.0, -2.0) / n)
 
 
+def _cheb_weights(size: int) -> np.ndarray:
+    """Barycentric weights of Chebyshev points: (-1)^k, ends halved."""
+    wts = np.where(np.arange(size) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    return wts
+
+
 def _lagrange_basis(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row i: the Lagrange basis of the Chebyshev points `nodes` at z_i
-    in [-1, 1], by the second barycentric formula (weights (-1)^k,
-    halved at both ends), so that basis @ f is the interpolant of f;
-    a z_i on a node gets that node's unit row."""
-    wts = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    wts[[0, -1]] *= 0.5
+    in [-1, 1], by the second barycentric formula, so that basis @ f is
+    the interpolant of f; a z_i on a node gets that node's unit row."""
+    wts = _cheb_weights(nodes.size)
     diff = z[:, None] - nodes[None, :]
     hit = diff == 0.0
     c = np.where(hit.any(axis=1)[:, None], hit,
@@ -434,12 +432,13 @@ def _log_j_series(ev: DensityEvaluator):
     every new node to :func:`_match_tol`.  The carried part matters
     where the table cancels: at (mu, x) = (9.3, 1.5) its roundoff is
     4e-10 for t >= 0.4, and the interpolant spreads a few 1e-12 of it
-    down to t_lo, where the table's own is 1e-14.  Past 513 nodes (next to odd half-integer mu, where the
-    match stalls at 2e-7 to 5e-7), or where a table value is not
-    positive, there is none.  Returns (log t_lo, log t_switch, nodes,
-    log J at them).
+    down to t_lo, where the table's own is 1e-14.  Past 513 nodes (next
+    to odd half-integer mu, where the match stalls at 2e-7 to 5e-7), or
+    where a table value is not positive, there is none.  Returns (log
+    t_lo, log t_switch, nodes, the (n, 2) array (w_k log J_k, w_k) of
+    the barycentric weights w_k folded into the values).
     """
-    y_lo, y_hi = math.log(_series_lo(ev)), math.log(ev.t_switch)
+    y_lo, y_hi = np.log([_series_lo(ev), ev.t_switch])
 
     def log_j(z):
         ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + z))
@@ -464,17 +463,26 @@ def _log_j_series(ev: DensityEvaluator):
         vals = np.insert(new, np.arange(vals.size), vals)
         noise = np.insert(new_noise, np.arange(noise.size), noise)
         if matched:
-            return y_lo, y_hi, nodes, vals
+            wts = _cheb_weights(n + 1)
+            return y_lo, y_hi, nodes, np.stack([wts * vals, wts], axis=1)
     return None
 
 
-def _q_series(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
-    """Density from the evaluator's interpolant of log J, at an array of
-    t in [t_lo, t_switch] (the interpolant must exist): one product."""
-    y_lo, y_hi, nodes, vals = ev._series
-    z = (2.0 * np.log(ts) - (y_lo + y_hi)) / (y_hi - y_lo)
-    return _prefactor(ev.params.lam, ts) * np.exp(_lagrange_basis(nodes, z)
-                                                  @ vals)
+def _j_series(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
+    """J by the evaluator's interpolant at an array of t in [t_lo,
+    t_switch]: log J is the ratio of the columns of (1 / (z - nodes)) @
+    (w_k log J_k, w_k), z = -1 and 1 exactly at the ends; a z on a node
+    (its ratio is nan) takes that node's value."""
+    y_lo, y_hi, nodes, folded = ev._series
+    y = np.log(ts)
+    z = ((y - y_lo) - (y_hi - y)) / (y_hi - y_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = (np.reciprocal(z[:, None] - nodes) @ folded).T
+        log_j = num / den
+    hit = np.flatnonzero(np.isnan(log_j))
+    node = np.abs(z[hit, None] - nodes).argmin(axis=1)
+    log_j[hit] = folded[node, 0] / folded[node, 1]
+    return np.exp(log_j)
 
 
 def _at_points(f, t, what: str):
@@ -491,43 +499,42 @@ def _at_points(f, t, what: str):
 def q_density(ev: DensityEvaluator, t):
     """Density of the stopped functional at time(s) t > 0.
 
-    Scalar in, scalar out; any array shape otherwise.  Points up to
-    ev.t_switch take the direct route; those whose roundoff estimate
-    passes 2e-12 are handed over, and the ones in [t_lo, t_switch] are
-    served together by the evaluator's interpolant of log J, built from
-    the table on the first such point.  The rest, and every point beyond
-    t_switch, are evaluated together as one product on the table route,
-    whose v-grid the evaluator builds on its first such point; together
-    they cover every t > 0 (at mu = 0 up to about 2e99 at x = 2, then
+    Scalar in, scalar out; any array shape otherwise.  Points in [t_lo,
+    t_switch] are served together by the evaluator's interpolant of log
+    J, built from the table on the first such point (9-15 ms at low
+    drift, up to 170 ms at high drift).  The other points up to t_switch
+    take the direct route; those whose roundoff estimate passes 2e-12
+    are handed over, and they and every point beyond t_switch are
+    evaluated together as one product on the table route, whose v-grid
+    the evaluator builds on its first such point; together they cover
+    every t > 0 (at mu = 0 up to about 2e99 at x = 2, then
     DomainError).  The table route agrees with adaptive quadrature of J
     to 1e-10 relative for mu <= 8.6; its summands can cancel by 1e5, and
     at (mu, x) = (9.3, 1.1), t = 0.7-6, it is up to 6.2e-10 off Talbot
     inversion, and at (9.3, 10, 1.62), below t_lo, 2.6e-10.  The
     interpolant is within 1e-12 of the table wherever the table does not
     cancel, and within the table's own roundoff where it does, so it
-    inherits the table's error: 5.0e-10 off Talbot at (9.3, 1.1, 1.08).  The
-    direct route's estimate can undershoot its error 14-50 fold: over
-    the benchmark's 272 reference points the route is at worst 1.3e-11
-    off Talbot, at (3.7, 2, 1.832), where the estimate reads 9.5e-13.
-    Just above an even half-integer (1/2, 5/2, ...) the kernel itself
-    is off, by 2.1e-4 at (9/2 + 2e-12, 2, 1e5) (1.5e-6 at 9/2 + 1e-10).
-    Nonnegative up to roundoff, integrates to one, and its Laplace
+    inherits the table's error: 5.0e-10 off Talbot at (9.3, 1.1, 1.08).
+    Over the benchmark's 272 reference points, all in [t_lo, t_switch],
+    it is at worst 4.5e-11 off Talbot at (9.3, 1.5, 20) and 8.2e-13 for
+    mu <= 7.  The direct route's estimate can undershoot its error 14-50
+    fold.  Nonnegative up to roundoff, integrates to one, and its Laplace
     transform matches :func:`laplace_ratio`.
     """
     def curve(ts):
-        out = np.empty_like(ts)
-        direct = ts <= ev.t_switch
+        j_val = np.empty_like(ts)
+        table = ts > ev.t_switch
+        series = ~table & (ts >= _series_lo(ev))
+        series &= series.any() and ev._series is not None
+        if series.any():
+            j_val[series] = _j_series(ev, ts[series])
+        direct = ~(table | series)
         if direct.any():
-            out[direct], loss = _q_direct_with_loss(ev, ts[direct])
-            direct[direct] = loss <= _DIRECT_LOSS_TOL
-        table = ~direct
-        series = table & (ts >= _series_lo(ev)) & (ts <= ev.t_switch)
-        if series.any() and ev._series is not None:
-            out[series] = _q_series(ev, ts[series])
-            table &= ~series
+            j_val[direct], loss = _j_direct_with_loss(ev, ts[direct])
+            table[direct] = loss > _DIRECT_LOSS_TOL
         if table.any():
-            out[table] = _q_table(ev, ts[table])
-        return out
+            j_val[table] = _j_table(ev, ts[table])[0]
+        return _prefactor(ev.params.lam, ts) * j_val
 
     return _at_points(curve, t, "density defined for finite t > 0")
 

@@ -86,6 +86,12 @@ class ModelParams:
         return self.x - 1.0
 
 
+def _cos_pi(mu: float) -> float:
+    """cos(pi mu) = -(-1)^k sin(pi (mu - 1/2 - k)), k = round(mu - 1/2)."""
+    k = round(mu - 0.5)
+    return -(-1.0) ** k * math.sin(math.pi * (mu - 0.5 - k))
+
+
 def _h_values(mu: float, x: float, u: np.ndarray) -> np.ndarray:
     """Vectorized h(u): scaled-Bessel form, overflow-free for mu <= 10.
 
@@ -99,7 +105,7 @@ def _h_values(mu: float, x: float, u: np.ndarray) -> np.ndarray:
     num = (sp.ive(mu, xu) * kve_u
            - ive_u * sp.kve(mu, xu) * np.exp(-2.0 * lam * u))
     num = num * np.exp(-2.0 * u)
-    c = np.cos(np.pi * mu)
+    c = _cos_pi(mu)
     s = np.sin(np.pi * mu)
     damp = kve_u * np.exp(-2.0 * u)
     den = (c * damp) ** 2 + (np.pi * ive_u + s * damp) ** 2
@@ -318,7 +324,7 @@ class _ContinuousKernel:
     def __init__(self, params: ModelParams):
         mu, x = params.mu, params.x
         self.mu, self.x = mu, x
-        self.coef = -np.cos(np.pi * mu) * x ** mu / params.lam
+        self.coef = -_cos_pi(mu) * x ** mu / params.lam
         # the small-u law h = sum_k c_k u^{2 mu (k + 1)} for mu > 0; at
         # mu = 0 _h_small_end takes the log law instead.  At half-integer
         # mu, cos(pi mu) = 0: no nodes and no origin law
@@ -455,8 +461,9 @@ class _ContinuousKernel:
             out = self.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
             if not all_near:
                 far = ~near[:, 0, 0]
-                out[far] = (self.origin_coefs * v[far] ** -b * sp.gamma(b)
-                            * sp.gammainc(b, z[far]))
+                # v^-b last: far out it nears underflow, c_k v^-b loses bits
+                out[far] = (self.origin_coefs * sp.gamma(b)
+                            * sp.gammainc(b, z[far]) * v[far] ** -b)
             return out.sum(axis=2)
 
         return _tiled(tile, np.ravel(v), b.size)
@@ -568,11 +575,11 @@ class WLambdaRep:
         continuous part into a dot product of erfcx over the kernel's
         short rule in log u; both stay bounded, so S is evaluated without
         overflow at any t.  The rule is off the product over the grid's
-        live nodes by up to its deviation dev relative to the whole
-        continuous part, measured at 40 t when it was built.  The grid
-        ends where its mass does, and the nodes cut below the live range
-        add at most cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L their
-        |amp| mass.  err = cut + dev |S|.
+        live nodes by up to its deviation dev relative to that product,
+        the continuous part S2, measured at 40 t when it was built.  The
+        grid ends where its mass does, and the nodes cut below the live
+        range add at most cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L
+        their |amp| mass.  err = cut + dev |S2|.
         """
         ts = np.asarray(ts, dtype=float)
         lam = self.params.lam
@@ -588,9 +595,9 @@ class WLambdaRep:
         # in place: fresh temporaries here take up to 1.8x the time
         b = sq[:, None] * u
         b += 0.5 * lam / sq[:, None]
-        out += (_SQRT_PI * sq) * (sp.erfcx(b, out=b) @ amp)
+        s2 = (_SQRT_PI * sq) * (sp.erfcx(b, out=b) @ amp)
         cut = _SQRT_PI * sq * kern.drop_lo * sp.erfcx(0.5 * lam / sq)
-        return out, cut + dev * np.abs(out)
+        return out + s2, cut + dev * np.abs(s2)
 
     def eval_weighted(self, v: np.ndarray, wts: np.ndarray) -> np.ndarray:
         """wts w(v) at a 1-d array of v >= 0 and of weights wts > 0, bit

@@ -51,12 +51,12 @@ from gbm_hitfun.density import (
     DensityEvaluator,
     TailConstant,
     _cheb_points,
+    _j_direct_with_loss,
+    _j_series,
     _j_table,
     _lagrange_basis,
     _match_tol,
-    _q_direct_with_loss,
-    _q_series,
-    _q_table,
+    _prefactor,
     _series_lo,
     _table_noise,
     build_evaluator,
@@ -590,10 +590,10 @@ def test_direct_vs_substituted_routes(mu, x):
     # where the direct route keeps its digits, the table route agrees
     ev = ev_for(mu, x)
     ts = np.geomspace(0.3, 0.5 * ev.t_switch, 12)
-    direct, loss = _q_direct_with_loss(ev, ts)
+    direct, loss = _j_direct_with_loss(ev, ts)
     keep = loss <= 1e-11
     assert keep.sum() >= 6
-    assert np.allclose(_q_table(ev, ts[keep]), direct[keep], rtol=5e-10,
+    assert np.allclose(_j_table(ev, ts[keep])[0], direct[keep], rtol=5e-10,
                        atol=0.0)
 
 
@@ -621,20 +621,31 @@ def test_density_positive_on_wide_grid(mu, x):
 
 
 def test_cancellation_fallback_engages():
-    # at mu = 5 the direct route loses more than the loss budget well
-    # below t_switch; the dispatcher must hand those points to the
-    # interpolant of log J, which stays within 1e-12 of the table route
+    # below t_lo at (9.3, 10) the direct route loses more than its budget
+    # (estimate 2.8e-10 at t = 1.62); the dispatcher hands the point to
+    # the table route
+    ev = ev_for(9.3, 10.0)
+    ts = np.array([1.62])
+    assert ts[0] < _series_lo(ev)
+    assert _j_direct_with_loss(ev, ts)[1][0] > density._DIRECT_LOSS_TOL
+    got = q_density(ev, ts)
+    assert np.array_equal(got, _prefactor(9.0, ts) * _j_table(ev, ts)[0])
+    assert got[0] == pytest.approx(q_substituted(ev, 1.62), rel=1e-10,
+                                   abs=0.0)
+    # in [t_lo, t_switch] the interpolant serves, also where the direct
+    # route cancels (at mu = 5 well below t_switch), within 1e-12 of the
+    # table route
     ev = build_evaluator(ModelParams(5.0, 3.0))
-    t_probe = 800.0
-    assert t_probe < ev.t_switch
-    _, loss = _q_direct_with_loss(ev, np.array([t_probe]))
-    assert loss[0] > 2e-10
-    got = q_density(ev, t_probe)
-    assert got == _q_series(ev, np.array([t_probe]))[0]
-    assert got == pytest.approx(_q_table(ev, np.array([t_probe]))[0],
-                                rel=1e-12, abs=0.0)
-    assert got == pytest.approx(q_substituted(ev, t_probe), rel=1e-10,
-                                abs=0.0)
+    ts = np.array([800.0])
+    assert _series_lo(ev) <= ts[0] < ev.t_switch
+    assert _j_direct_with_loss(ev, ts)[1][0] > 2e-10
+    got = q_density(ev, ts)
+    assert np.array_equal(got, _prefactor(2.0, ts) * _j_series(ev, ts))
+    assert got[0] == pytest.approx(_prefactor(2.0, ts)[0]
+                                   * _j_table(ev, ts)[0][0],
+                                   rel=1e-12, abs=0.0)
+    assert got[0] == pytest.approx(q_substituted(ev, 800.0), rel=1e-10,
+                                   abs=0.0)
 
 
 def series_tolerance(ev, ts):
@@ -658,7 +669,7 @@ def test_log_j_series_matches_the_table(mu, x):
     assert ev._series is not None
     assert ev._series[2].size in (65, 129, 257, 513)
     ts = np.geomspace(_series_lo(ev), ev.t_switch, 200)
-    rel = np.abs(_q_series(ev, ts) / _q_table(ev, ts) - 1.0)
+    rel = np.abs(_j_series(ev, ts) / _j_table(ev, ts)[0] - 1.0)
     assert np.all(rel <= 10.0 * series_tolerance(ev, ts))
 
 
@@ -669,12 +680,13 @@ def test_log_j_series_matches_the_table(mu, x):
 def test_no_series_next_to_odd_half_integer(mu):
     ev = build_evaluator(ModelParams(mu, 2.0))
     ts = np.geomspace(_series_lo(ev), ev.t_switch, 60)
-    _, loss = _q_direct_with_loss(ev, ts)
+    _, loss = _j_direct_with_loss(ev, ts)
     handed = loss > density._DIRECT_LOSS_TOL
     assert handed.any()
     got = q_density(ev, ts)
     assert ev._series is None
-    assert np.array_equal(got[handed], _q_table(ev, ts[handed]))
+    assert np.array_equal(got[handed], _prefactor(1.0, ts[handed])
+                          * _j_table(ev, ts[handed])[0])
 
 
 def test_build_evaluator_leaves_the_series_to_first_use():
@@ -690,16 +702,81 @@ def test_build_evaluator_leaves_the_series_to_first_use():
 
 
 def test_direct_route_unchanged_by_the_series():
-    ev = build_evaluator(ModelParams(7.0, 2.0))
-    ts = np.geomspace(1e-2, ev.t_switch, 200)
-    _, loss = _q_direct_with_loss(ev, ts)
-    kept = ts[loss <= density._DIRECT_LOSS_TOL]
-    assert kept.size >= 20
-    before = q_density(ev, kept)
+    # below t_lo q is the direct route's, bit for bit, whether or not the
+    # interpolant has been built, and those points do not build it
+    ev = build_evaluator(ModelParams(7.0, 3.0))
+    ts = np.geomspace(1e-2, _series_lo(ev), 40, endpoint=False)
+    j_val, loss = _j_direct_with_loss(ev, ts)
+    assert np.all(loss <= density._DIRECT_LOSS_TOL)
+    before = q_density(ev, ts)
     assert "_series" not in ev.__dict__
-    q_density(ev, ts)
+    assert np.array_equal(before, _prefactor(2.0, ts) * j_val)
+    q_density(ev, np.geomspace(1e-2, ev.t_switch, 200))
     assert ev._series is not None
-    assert np.array_equal(q_density(ev, kept), before)
+    assert np.array_equal(q_density(ev, ts), before)
+
+
+# the benchmark's density pairs at both drifts, large x and x near 1
+@pytest.mark.parametrize("mu,x", [(0.0, 1.5), (0.3, 2.0), (1.2, 3.0),
+                                  (2.2, 2.0), (7.0, 2.0), (9.3, 1.5),
+                                  (9.3, 10.0), (7.0, 1.05)])
+def test_q_density_takes_its_routes_in_order(mu, x):
+    # the interpolant on [t_lo, t_switch], bit for bit; below t_lo the
+    # direct route, or the table where its loss passes 2e-12; past
+    # t_switch the table
+    ev = ev_for(mu, x)
+    lo, hi = _series_lo(ev), ev.t_switch
+    ts = np.concatenate([np.geomspace(1e-3, 10.0 * hi, 300), [lo, hi]])
+    got = q_density(ev, ts)
+    pre = _prefactor(ev.params.lam, ts)
+    series = (ts >= lo) & (ts <= hi)
+    assert np.array_equal(got[series], pre[series] * _j_series(ev, ts[series]))
+    below = ts < lo
+    j_val, loss = _j_direct_with_loss(ev, ts[below])
+    kept = loss <= density._DIRECT_LOSS_TOL
+    assert np.array_equal(got[below][kept], pre[below][kept] * j_val[kept])
+    table = ts > hi
+    table[below] = ~kept
+    assert np.array_equal(got[table], pre[table] * _j_table(ev, ts[table])[0])
+
+
+# z lands exactly on the end nodes at t_lo and t_switch, and on many
+# interior nodes at their own t, where 1 / (z - node) is infinite
+@pytest.mark.parametrize("mu,x", [(0.3, 2.0), (7.0, 2.0), (9.3, 1.5)])
+def test_q_density_on_interpolant_nodes(mu, x):
+    ev = ev_for(mu, x)
+    y_lo, y_hi, nodes, folded = ev._series
+    want = np.exp(folded[:, 0] / folded[:, 1])
+    ends = np.array([_series_lo(ev), ev.t_switch])
+    got = q_density(ev, ends)
+    assert np.array_equal(got, _prefactor(ev.params.lam, ends) * want[[-1, 0]])
+    node_ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + nodes[1:-1]))
+    got = q_density(ev, node_ts) / _prefactor(ev.params.lam, node_ts)
+    assert np.all(np.isfinite(got))
+    assert np.count_nonzero(got == want[1:-1]) >= 10
+    assert np.allclose(got, want[1:-1], rtol=1e-13, atol=0.0)
+
+
+def test_high_drift_density_never_reaches_the_far_origin_law(monkeypatch):
+    # the origin law's far branch (u_lo v >= 1) forms c_k Gamma(b) P v^-b
+    # in that order since the n = 2 kernel far out needed it; q on the
+    # benchmark's high-drift pairs over its t range never reaches that
+    # branch (at 5/2 there is no law), so none of its bits moved
+    origin = weight._ContinuousKernel._origin
+    reach = []
+
+    def recorded(kernel, a, v):
+        if kernel.origin_coefs.size:
+            reach.append(kernel.u_lo * np.max(v, initial=0.0))
+        return origin(kernel, a, v)
+
+    monkeypatch.setattr(weight._ContinuousKernel, "_origin", recorded)
+    for mu, x in itertools.chain(
+            itertools.product((2.2, 2.5, 3.7, 5.3, 7.0), (2.0, 3.0)),
+            [(9.3, 1.5)]):
+        q_density(build_evaluator(ModelParams(mu, x)),
+                  np.geomspace(1e-2, 1e3, 200))
+    assert reach and max(reach) < 1.0
 
 
 def test_chebyshev_points_nest():
@@ -718,7 +795,7 @@ def test_chebyshev_points_nest():
 def test_table_route_matches_adaptive_oracle(mu, x):
     ev = build_evaluator(ModelParams(mu, x))
     grid = np.geomspace(0.01, 1e10, 25)
-    _, loss = _q_direct_with_loss(ev, grid)
+    _, loss = _j_direct_with_loss(ev, grid)
     fallback = grid[(grid > ev.t_switch) | (loss > 2e-10)]
     ts = np.concatenate([fallback, [1e14, 1e17, 1e20]])
     got = q_density(ev, ts)
@@ -1037,14 +1114,16 @@ def test_density_next_to_odd_half_integer_matches_talbot():
         q_talbot(mu, 2.0, 5.0), rel=1e-8, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="within about 1e-10 of an even "
-                   "half-integer the kernel's origin piece divides the "
-                   "roundoff of cos(pi mu) by 2 (mu - l + 1/2): 1.5e-6 off "
-                   "here, 2.1e-4 at 9/2 + 2e-12 (ROADMAP item 6)")
-def test_density_next_to_even_half_integer_matches_talbot():
-    mu = 4.5 + 1e-10
-    assert q_density(ev_for(mu, 2.0), 1e5) == pytest.approx(
-        q_talbot(mu, 2.0, 1e5), rel=1e-8, abs=0.0)
+# the kernel's origin piece divides the absolute error of cos(pi mu) by
+# 2 (mu - l + 1/2); with cos(pi mu) from np.cos these were 2.1e-5 to
+# 2.1e-4 off (1.5e-6 at 9/2 + 1e-10), by the reduced argument at most
+# 7e-16; (1.2, 2, 1000) is 1.3e-15 off
+@pytest.mark.parametrize("mu,t", [(0.5 + 2e-12, 3e3), (2.5 + 2e-12, 3e3),
+                                  (4.5 + 2e-12, 1e5), (4.5 + 1e-10, 1e5),
+                                  (1.2, 1e3)])
+def test_density_next_to_even_half_integer_matches_talbot(mu, t):
+    assert q_density(ev_for(mu, 2.0), t) == pytest.approx(
+        q_talbot(mu, 2.0, t), rel=1e-13, abs=0.0)
 
 
 # direct values 1.3e-9 to 4.8e-8 off Talbot whose loss estimate read
@@ -1068,10 +1147,10 @@ def test_table_route_holds_at_small_t(mu, x):
     # (9.3, 2) and 53 % at (8.7, 3); now at most 1.8e-11)
     ev = ev_for(mu, x)
     ts = np.geomspace(1e-2, 3.0, 40)
-    direct, loss = _q_direct_with_loss(ev, ts)
+    direct, loss = _j_direct_with_loss(ev, ts)
     keep = loss <= 1e-12
     assert np.count_nonzero(keep) >= 15
-    assert np.allclose(_q_table(ev, ts[keep]), direct[keep], rtol=1e-10,
+    assert np.allclose(_j_table(ev, ts[keep])[0], direct[keep], rtol=1e-10,
                        atol=0.0)
 
 
@@ -1170,7 +1249,7 @@ def test_table_route_work_budget(monkeypatch):
     monkeypatch.setattr(weight._ContinuousKernel, "w2", counted_w2)
     ev = build_evaluator(ModelParams(7.0, 2.0))
     ts = np.geomspace(1.0, 1e3, 100)
-    _, loss = _q_direct_with_loss(ev, ts)
+    _, loss = _j_direct_with_loss(ev, ts)
     assert np.count_nonzero(loss > 2e-10) >= 50
     first = q_density(ev, ts)
     first_rows = sum(rows)
@@ -1206,15 +1285,18 @@ def test_direct_route_work_budget(monkeypatch, mu, max_nodes, grid_nodes):
 
 def test_build_evaluator_leaves_the_kernel_rule_to_first_use(
         monkeypatch):
-    # the direct route's short rule is built on the first direct point,
-    # not in build_evaluator, whose time the benchmark reports as setup
+    # the direct route's short rule is built on the first point below
+    # t_lo, not in build_evaluator, whose time the benchmark reports as
+    # setup, nor for the points the interpolant serves
     def no_rule(*args, **kwargs):
         raise AssertionError("the kernel rule was built")
 
     monkeypatch.setattr(weight, "eigh_tridiagonal", no_rule)
     ev = build_evaluator(ModelParams(0.3, 2.0))
+    q_density(ev, np.array([1.0, 1e4]))
+    assert ev._series is not None
     with pytest.raises(AssertionError, match="kernel rule"):
-        q_density(ev, 1.0)
+        q_density(ev, 0.01)
 
 
 # over mu <= 1.2, x <= 3 the direct route keeps nearly every point up
@@ -1232,9 +1314,9 @@ def test_direct_route_agrees_with_table_route(mu, x, frac):
     assume(abs(mu - 0.5) > 1e-3)
     ev = build_evaluator(ModelParams(mu, x))
     ts = np.array([1e-2 * (ev.t_switch / 1e-2) ** frac])
-    got, loss = _q_direct_with_loss(ev, ts)
+    got, loss = _j_direct_with_loss(ev, ts)
     assume(loss[0] <= 2e-10)
-    assert got[0] == pytest.approx(_q_table(ev, ts)[0], rel=1e-9, abs=0.0)
+    assert got[0] == pytest.approx(_j_table(ev, ts)[0][0], rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------

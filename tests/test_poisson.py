@@ -201,11 +201,15 @@ def test_plane_kernel_far_radius_meets_tail_law(mu, rho):
 # mu = 7) while W_k w(v_k) on the table's far panels does not, and the
 # table forms that product without the underflow.  Formed from w, it
 # was 8.9e-7 off at (0.3, 1e120), 2.8e6 times too small at (0.3, 1e140),
-# 0.89 off at (1.2, 1e80) and 2e-7 off at (7, 1e19); now at most 7e-14
+# 0.89 off at (1.2, 1e80) and 2e-7 off at (7, 1e19); now at most 7e-14.
+# At mu = 9.3 the kappa-moment tails at the table's top took c_k v^-b,
+# which underflows there, before Gamma(b): 3.0e-10 off at 1e15 and
+# 1.8e-3 at 3e15 (law 1.9e-297); now 1.2e-13 and 8.4e-14
 @pytest.mark.parametrize("mu,rho", [
     (0.3, 1e30), (0.3, 1e100), (0.3, 1e120), (0.3, 1e140),
     (1.2, 1e30), (1.2, 1e60), (1.2, 1e80),
-    (7.0, 1e17), (7.0, 1e19), (7.0, 10.0 ** 19.5)])
+    (7.0, 1e17), (7.0, 1e19), (7.0, 10.0 ** 19.5),
+    (9.3, 1e15), (9.3, 3e15)])
 def test_plane_kernel_meets_tail_law_where_the_kernel_underflows(mu, rho):
     got = kernel_closed(PoissonParams(2, ModelParams(mu, 2.0), rho))
     assert got == pytest.approx(plane_tail_law(mu, 2.0, rho), rel=1e-12,

@@ -557,8 +557,8 @@ def origin_untiled(kern, a, v):
         series = series + term
     out = kern.origin_coefs * eps ** b / b * (np.exp(-zn) * series)
     far = ~near[:, 0, 0]
-    out[far] = (kern.origin_coefs * v[far] ** -b * sp.gamma(b)
-                * sp.gammainc(b, z[far]))
+    out[far] = (kern.origin_coefs * sp.gamma(b) * sp.gammainc(b, z[far])
+                * v[far] ** -b)
     return out.sum(axis=2)
 
 
@@ -862,6 +862,25 @@ def test_exp_weighted_integral_dense_in_t(mu, x):
     got, err = rep.exp_weighted_integral(ts)
     bound = err + (1e-20 + 8.0 * np.finfo(float).eps) * size
     assert np.all(np.abs(got - full).astype(float) <= bound)
+
+
+@pytest.mark.parametrize("mu,x", [(7.0, 2.0), (9.3, 10.0)])
+def test_exp_weighted_integral_scales_the_rule_error_by_its_own_part(mu, x):
+    # the rule's deviation is relative to the continuous part S2, so the
+    # bound carries dev |S2|, not dev |S|: here |S| / |S2| runs from 13
+    # down to 9 at (7, 2) and from 1.7 down to 0.55 at (9.3, 10)
+    rep = build_w(ModelParams(mu, x))
+    cont = replace(rep, amp=np.empty(0), rate=np.empty(0))
+    ts = np.geomspace(1e-2, 1e3, 30)
+    got, err = rep.exp_weighted_integral(ts)
+    s2, err2 = cont.exp_weighted_integral(ts)
+    ratio = np.abs(got / s2)
+    assert np.max(np.maximum(ratio, 1.0 / ratio)) > 1.5
+    assert np.array_equal(err, err2)
+    dev = rep._kernel.rule[2]
+    cut = (np.sqrt(np.pi * ts) * rep._kernel.drop_lo
+           * sp.erfcx(0.5 * (x - 1.0) / np.sqrt(ts)))
+    assert np.allclose(err, cut + dev * np.abs(s2), rtol=1e-14, atol=0.0)
 
 
 def test_exp_weighted_integral_with_an_empty_live_range():
