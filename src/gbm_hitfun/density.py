@@ -21,22 +21,27 @@ kappa/sigma at the top falls short of it gets the fewest ratio-2
 panels past the top that reach it.  :func:`far_integral` owns the far
 part, int w f past the top, by more such panels;
 :func:`adaptive_integral` is the table's adaptive sibling up to a cut,
-for the two callers not yet on the table.  q takes three routes:
+for the two callers not yet on the table.  q takes four routes:
 
-* the interpolant route, for t in [t_lo, t_switch], t_lo = max(lam^2/20,
-  1e-3), t_switch = 1e3 max(1, lam^2): a barycentric interpolant of log
-  J in log t on 65-513 Chebyshev points, built from table values
-  (:func:`_log_j_series`) on the evaluator's first point there (9-15 ms
-  at low drift, up to 170 ms at high drift), one product per call;
-* the direct route, below t_lo, and up to t_switch where the interpolant
-  does not settle (next to odd half-integer mu): the polynomial
-  part of E_l integrates to closed kernel moments and the e^{-kappa/4t}
-  part, after completing the square in v, to a dot product of scaled
-  complementary error functions over the kernel's short rule in log u
-  (32-128 nodes).  The pieces cancel as t grows, so every point carries
-  a loss estimate: roundoff, the rule's measured deviation and a bound
-  on the grid nodes left out at small u.  A point whose estimate passes
-  2e-12 is handed over to the table;
+* two panels of one barycentric interpolant of log J in log t
+  (:func:`_log_j_series`, 33-513 Chebyshev points), one product per
+  call: on [t_lo, t_switch], t_lo = max(lam^2/20, 1e-3), t_switch = 1e3
+  max(1, lam^2), from table values, and on [t_min, t_lo), t_min =
+  lam^2/1000 (q's Gaussian factor is e^{-250} there), from the direct
+  route's, as below t_lo the table is off near x = 1 (1e-7 at (mu, x, t)
+  = (9.3, 1.05, 0.02 lam^2)).  Each is built on its first point: the
+  upper in 9-170 ms, the lower in 2.5-4.5 ms at x <= 3 (mostly the
+  direct route's rule), 23-31 ms where nodes hand over to the table and
+  100-130 ms where it does not settle;
+* the direct route, below t_min and where a panel does not settle (the
+  upper next to odd half-integer mu, the lower at (9.3, 10) and (9.3,
+  30)): the polynomial part of E_l integrates to closed kernel moments
+  and the e^{-kappa/4t} part, after completing the square in v, to a
+  dot product of scaled complementary error functions over the
+  kernel's short rule in log u (32-128 nodes).  The pieces cancel as t
+  grows, so every point carries a loss estimate: roundoff, the rule's
+  measured deviation and a bound on the grid nodes left out at small u.
+  A point whose estimate passes 2e-12 is handed over to the table;
 * the table route, for t beyond t_switch and for the handed-over points:
   :func:`table_integral` of E_l at sigma = 4t with reach 40, past which
   e^{-s} is below 1e-17 of the polynomial part and the far part is
@@ -110,13 +115,14 @@ class DensityEvaluator:
     exponential inside the kernel integral: floor(mu + 1/2) in general
     and mu - 1/2 when that is a nonnegative integer (the largest
     subtraction the kernel tail can absorb).  Points in [t_lo, t_switch]
-    take the interpolant of log J (_series) where it exists; the rest up
-    to t_switch take the direct route, which hands a point whose
+    take the upper panel of the interpolant of log J (_series) and those
+    in [t_min, t_lo) the lower (_series_below), where each exists; the
+    rest up to t_switch take the direct route, which hands a point whose
     cancellation estimate crosses _DIRECT_LOSS_TOL (2e-12 relative) to
     the table route, as it does every point beyond t_switch.  The
-    table's t-independent factors, the interpolant and the direct
-    route's short rule are each built on the first point that needs them
-    and kept for the evaluator's life.
+    table's t-independent factors, each panel and the direct route's
+    short rule are built on the first point that needs them and kept
+    for the evaluator's life.
     """
 
     w: WLambdaRep
@@ -130,6 +136,14 @@ class DensityEvaluator:
         mu = self.params.mu
         return int(round(mu - 0.5) if is_half_integer(mu)
                    else math.floor(mu + 0.5))
+
+    @functools.cached_property
+    def t_min(self) -> float:
+        return self.params.lam ** 2 / 1000.0
+
+    @functools.cached_property
+    def t_lo(self) -> float:
+        return max(self.params.lam ** 2 / 20.0, 1e-3)
 
     @functools.cached_property
     def t_switch(self) -> float:
@@ -155,10 +169,15 @@ class DensityEvaluator:
 
     @functools.cached_property
     def _series(self):
-        """The interpolant of log J that serves the points in [t_lo,
-        t_switch] (:func:`_log_j_series`), built on the first such
-        point; None where it does not settle by 513 nodes."""
-        return _log_j_series(self)
+        """The interpolant's panel on [t_lo, t_switch], from the table."""
+        return _log_j_series(self.t_lo, self.t_switch,
+                             functools.partial(_j_table, self))
+
+    @functools.cached_property
+    def _series_below(self):
+        """Its panel on [t_min, t_lo), from the direct route."""
+        return _log_j_series(self.t_min, self.t_lo,
+                             functools.partial(_j_direct_with_handover, self))
 
 
 def build_evaluator(params: ModelParams) -> DensityEvaluator:
@@ -358,8 +377,9 @@ def _table_panels(ev: DensityEvaluator, edges: np.ndarray):
 def _j_table(ev: DensityEvaluator,
              ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """J(t) = [x^{mu-1/2}/(2t), l = 0] + :func:`table_integral` of E_l
-    at sigma = 4t, reach _POLY_S, and the l1 norm of its summands, at an
-    array of t > 0, _TABLE_ROWS t at a time."""
+    at sigma = 4t, reach _POLY_S, and its roundoff relative to |J| (four
+    roundoffs of its summands' l1 norm), at an array of t > 0,
+    _TABLE_ROWS t at a time."""
     p = ev.params
     j_val, norm = (np.concatenate(parts) for parts in zip(*(
         table_integral(ev, 4.0 * ts[i:i + _TABLE_ROWS],
@@ -370,28 +390,27 @@ def _j_table(ev: DensityEvaluator,
         lead = p.x ** (p.mu - 0.5) / (2.0 * ts)
         j_val += lead
         norm += lead
-    return j_val, norm
+    with np.errstate(divide="ignore", invalid="ignore"):  # J = 0 far out
+        return j_val, 4.0 * 2.2e-16 * norm / np.abs(j_val)
 
 
-def _series_lo(ev: DensityEvaluator) -> float:
-    """t_lo = max(lam^2/20, 1e-3), the bottom of the interpolant's
-    interval; below it, near x = 1, the table itself is off (1e-7 at
-    (mu, x, t) = (9.3, 1.05, 0.02 lam^2))."""
-    return max(ev.params.lam ** 2 / 20.0, 1e-3)
-
-
-def _table_noise(j_val: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Roundoff of the table route's log J: four roundoffs of its
-    summands' l1 norm over |J|."""
-    return 4.0 * 2.2e-16 * norm / np.abs(j_val)
+def _j_direct_with_handover(ev: DensityEvaluator,
+                            ts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J by the direct route, the points whose loss passes
+    _DIRECT_LOSS_TOL by the table, and each value's relative error."""
+    j_val, noise = _j_direct_with_loss(ev, ts)
+    handed = noise > _DIRECT_LOSS_TOL
+    if handed.any():
+        j_val[handed], noise[handed] = _j_table(ev, ts[handed])
+    return j_val, noise
 
 
 def _match_tol(basis: np.ndarray, node_noise: np.ndarray,
                noise: np.ndarray) -> np.ndarray:
     """The distance at which an interpolant of log J with Lagrange basis
-    rows `basis` matches table values of roundoff `noise`: that roundoff
-    plus the one it carries from its nodes (node_noise), summed through
-    the basis as independent errors, and at least 1e-12."""
+    rows `basis` matches source values of relative error `noise`: that
+    error plus the one it carries from its nodes (node_noise), summed
+    through the basis as independent errors, and at least 1e-12."""
     return np.maximum(1e-12, noise + np.sqrt(basis ** 2 @ node_noise ** 2))
 
 
@@ -421,31 +440,31 @@ def _lagrange_basis(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     return c / c.sum(axis=1)[:, None]
 
 
-def _log_j_series(ev: DensityEvaluator):
-    """Barycentric interpolant of log J in y = log t on [t_lo, t_switch]
-    from table values, or None.
+def _log_j_series(t_lo: float, t_hi: float, source):
+    """A panel of the barycentric interpolant of log J in y = log t on
+    [t_lo, t_hi], or None; source(ts) gives J and the relative error of
+    each value.
 
     J is positive and smooth in y.  Nested Chebyshev points of the
-    second kind start at 33 and double, so each doubling asks
-    :func:`table_integral` only for the new midpoints.  The larger
-    interpolant is taken once the previous one matches the table at
-    every new node to :func:`_match_tol`.  The carried part matters
-    where the table cancels: at (mu, x) = (9.3, 1.5) its roundoff is
-    4e-10 for t >= 0.4, and the interpolant spreads a few 1e-12 of it
-    down to t_lo, where the table's own is 1e-14.  Past 513 nodes (next
-    to odd half-integer mu, where the match stalls at 2e-7 to 5e-7), or
-    where a table value is not positive, there is none.  Returns (log
-    t_lo, log t_switch, nodes, the (n, 2) array (w_k log J_k, w_k) of
-    the barycentric weights w_k folded into the values).
+    second kind start at 33 and double, so each doubling asks the source
+    only for the new midpoints.  The larger interpolant is taken once
+    the previous one matches the source at every new node to
+    :func:`_match_tol`.  The carried part matters where the table
+    cancels: at (mu, x) = (9.3, 1.5) its roundoff is 4e-10 for t >= 0.4,
+    and the interpolant spreads a few 1e-12 of it down to t_lo, where
+    the table's own is 1e-14.  Past 513 nodes (next to odd half-integer
+    mu, where the match stalls at 2e-7 to 5e-7), or where a value is not
+    positive, there is none.  Returns (log t_lo, log t_hi, nodes, the
+    (n, 2) array (w_k log J_k, w_k) of the barycentric weights w_k folded
+    into the values).
     """
-    y_lo, y_hi = np.log([_series_lo(ev), ev.t_switch])
+    y_lo, y_hi = np.log([t_lo, t_hi])
 
     def log_j(z):
-        ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + z))
-        j_val, norm = _j_table(ev, ts)
+        j_val, noise = source(np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + z)))
         if not np.all(j_val > 0.0):
             return None, None
-        return np.log(j_val), _table_noise(j_val, norm)
+        return np.log(j_val), noise
 
     n = 32
     nodes = _cheb_points(n)
@@ -468,20 +487,21 @@ def _log_j_series(ev: DensityEvaluator):
     return None
 
 
-def _j_series(ev: DensityEvaluator, ts: np.ndarray) -> np.ndarray:
-    """J by the evaluator's interpolant at an array of t in [t_lo,
-    t_switch]: log J is the ratio of the columns of (1 / (z - nodes)) @
-    (w_k log J_k, w_k), z = -1 and 1 exactly at the ends; a z on a node
-    (its ratio is nan) takes that node's value."""
-    y_lo, y_hi, nodes, folded = ev._series
+def _j_series(series, ts: np.ndarray) -> np.ndarray:
+    """J by a panel of the interpolant at an array of t in its interval:
+    log J is the ratio of the columns of (1 / (z - nodes)) @ (w_k log
+    J_k, w_k), z = -1 and 1 exactly at the ends; a z on a node (its
+    ratio is nan) takes that node's value."""
+    y_lo, y_hi, nodes, folded = series
     y = np.log(ts)
     z = ((y - y_lo) - (y_hi - y)) / (y_hi - y_lo)
     with np.errstate(divide="ignore", invalid="ignore"):
         num, den = (np.reciprocal(z[:, None] - nodes) @ folded).T
         log_j = num / den
-    hit = np.flatnonzero(np.isnan(log_j))
-    node = np.abs(z[hit, None] - nodes).argmin(axis=1)
-    log_j[hit] = folded[node, 0] / folded[node, 1]
+    hit = np.isnan(log_j).nonzero()[0]
+    if hit.size:
+        node = np.abs(z[hit, None] - nodes).argmin(axis=1)
+        log_j[hit] = folded[node, 0] / folded[node, 1]
     return np.exp(log_j)
 
 
@@ -490,7 +510,7 @@ def _at_points(f, t, what: str):
     DomainError(what): scalar in, scalar out; any array shape
     otherwise."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
+    if arr.size and not np.all((arr > 0.0) & (arr < math.inf)):
         raise DomainError(what)
     out = f(arr.reshape(-1)).reshape(arr.shape)
     return float(out[0]) if np.ndim(t) == 0 else out
@@ -499,41 +519,45 @@ def _at_points(f, t, what: str):
 def q_density(ev: DensityEvaluator, t):
     """Density of the stopped functional at time(s) t > 0.
 
-    Scalar in, scalar out; any array shape otherwise.  Points in [t_lo,
-    t_switch] are served together by the evaluator's interpolant of log
-    J, built from the table on the first such point (9-15 ms at low
-    drift, up to 170 ms at high drift).  The other points up to t_switch
-    take the direct route; those whose roundoff estimate passes 2e-12
-    are handed over, and they and every point beyond t_switch are
-    evaluated together as one product on the table route, whose v-grid
-    the evaluator builds on its first such point; together they cover
-    every t > 0 (at mu = 0 up to about 2e99 at x = 2, then
-    DomainError).  The table route agrees with adaptive quadrature of J
-    to 1e-10 relative for mu <= 8.6; its summands can cancel by 1e5, and
-    at (mu, x) = (9.3, 1.1), t = 0.7-6, it is up to 6.2e-10 off Talbot
-    inversion, and at (9.3, 10, 1.62), below t_lo, 2.6e-10.  The
-    interpolant is within 1e-12 of the table wherever the table does not
+    Scalar in, scalar out; any array shape otherwise.  The points split
+    once into the four routes of the module docstring: the lower panel
+    of the interpolant of log J on [t_min, t_lo), the upper on [t_lo,
+    t_switch], the table beyond t_switch, and the direct route for the
+    rest, which hands a point whose roundoff estimate passes 2e-12 to
+    the table.  Each panel and the table's v-grid are built on the
+    evaluator's first point that needs them.  Together the routes cover
+    every t > 0 (at mu = 0 up to about 2e99 at x = 2, then DomainError).
+    The table route agrees with adaptive quadrature of J to 1e-10
+    relative for mu <= 8.6; its summands can cancel by 1e5, and at (mu,
+    x) = (9.3, 1.1), t = 0.7-6, it is up to 6.2e-10 off Talbot
+    inversion, and at (9.3, 10, 1.62), below t_lo, 2.6e-10.  The upper
+    panel is within 1e-12 of the table wherever the table does not
     cancel, and within the table's own roundoff where it does, so it
     inherits the table's error: 5.0e-10 off Talbot at (9.3, 1.1, 1.08).
     Over the benchmark's 272 reference points, all in [t_lo, t_switch],
     it is at worst 4.5e-11 off Talbot at (9.3, 1.5, 20) and 8.2e-13 for
-    mu <= 7.  The direct route's estimate can undershoot its error 14-50
-    fold.  Nonnegative up to roundoff, integrates to one, and its Laplace
-    transform matches :func:`laplace_ratio`.
+    mu <= 7.  The lower panel is within 10 match tolerances of the
+    direct route; at t/lam^2 = 0.003 and 0.01 q is within 1.1e-11 of
+    Talbot for x from 1 + 1e-6 to 1e4 and mu up to 9.3.  The direct
+    route's estimate can undershoot its error 14-50 fold.  Nonnegative
+    up to roundoff, integrates to one, and its Laplace transform matches
+    :func:`laplace_ratio`.
     """
     def curve(ts):
         j_val = np.empty_like(ts)
-        table = ts > ev.t_switch
-        series = ~table & (ts >= _series_lo(ev))
-        series &= series.any() and ev._series is not None
-        if series.any():
-            j_val[series] = _j_series(ev, ts[series])
-        direct = ~(table | series)
-        if direct.any():
-            j_val[direct], loss = _j_direct_with_loss(ev, ts[direct])
-            table[direct] = loss > _DIRECT_LOSS_TOL
-        if table.any():
-            j_val[table] = _j_table(ev, ts[table])[0]
+        # 0: direct, 1: lower panel, 2: upper (t_switch in it), 3: table
+        route = np.searchsorted([ev.t_min, ev.t_lo, math.nextafter(
+            ev.t_switch, math.inf)], ts, side="right")
+        for k, panel in ((1, "_series_below"), (2, "_series")):
+            at = (route == k).nonzero()[0]
+            if at.size and getattr(ev, panel) is None:
+                route[at] = 0
+            elif at.size:
+                j_val[at] = _j_series(getattr(ev, panel), ts[at])
+        for k, f in ((0, _j_direct_with_handover), (3, _j_table)):
+            at = (route == k).nonzero()[0]
+            if at.size:
+                j_val[at] = f(ev, ts[at])[0]
         return _prefactor(ev.params.lam, ts) * j_val
 
     return _at_points(curve, t, "density defined for finite t > 0")

@@ -118,7 +118,9 @@ def kernel_closed(p: PoissonParams) -> float:
     panels (at x = 2 from rho = 1e145 at mu = 0.3, 1e140 at mu = 0.1),
     or a moment tail does, it raises DomainError naming rho.  At n >= 3
     it is :func:`.density.adaptive_integral` (j = min(1, l)) up to a cut
-    v_hi, without the far part int_v_hi^infty w (1+z)^{-m} dv.
+    v_hi, without the far part int_v_hi^infty w (1+z)^{-m} dv.  A value
+    that leaves the normal range, where its digits go (2.2e-3 off the
+    tail law at (9.3, 2, rho = 1e16)), raises DomainError naming rho.
     """
     n, model, rho = p.n, p.model, p.rho
     mu, lam, x = model.mu, model.lam, model.x
@@ -149,7 +151,11 @@ def kernel_closed(p: PoissonParams) -> float:
              0.3 * sq, sq, 3.0 * sq, 10.0 * sq), 1e-11, 1200)[0]
     if ev.l_terms == 0:
         bracket += lead * x ** (mu - 0.5) / c0
-    return gam * lam / (2.0 * math.pi ** (0.5 * n)) * c0 ** (-m) * bracket
+    out = gam * lam / (2.0 * math.pi ** (0.5 * n)) * c0 ** (-m) * bracket
+    if 0.0 < abs(out) < np.finfo(float).tiny:
+        raise DomainError(f"the kernel leaves the normal range at rho = "
+                          f"{rho:g} ({out:g})")
+    return out
 
 
 # ---------------------------------------------------------------------

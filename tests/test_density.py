@@ -31,6 +31,7 @@ below), and the closed kernel moment identities against a variant that
 integrates the moments numerically (``q_density_basic``).
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -51,14 +52,13 @@ from gbm_hitfun.density import (
     DensityEvaluator,
     TailConstant,
     _cheb_points,
+    _j_direct_with_handover,
     _j_direct_with_loss,
     _j_series,
     _j_table,
     _lagrange_basis,
     _match_tol,
     _prefactor,
-    _series_lo,
-    _table_noise,
     build_evaluator,
     cached_evaluator,
     dufresne_density,
@@ -622,13 +622,14 @@ def test_density_positive_on_wide_grid(mu, x):
 
 def test_cancellation_fallback_engages():
     # below t_lo at (9.3, 10) the direct route loses more than its budget
-    # (estimate 2.8e-10 at t = 1.62); the dispatcher hands the point to
-    # the table route
+    # (estimate 2.8e-10 at t = 1.62), and the panel below t_lo does not
+    # settle; the dispatcher hands the point to the table route
     ev = ev_for(9.3, 10.0)
     ts = np.array([1.62])
-    assert ts[0] < _series_lo(ev)
+    assert ev.t_min <= ts[0] < ev.t_lo
     assert _j_direct_with_loss(ev, ts)[1][0] > density._DIRECT_LOSS_TOL
     got = q_density(ev, ts)
+    assert ev._series_below is None
     assert np.array_equal(got, _prefactor(9.0, ts) * _j_table(ev, ts)[0])
     assert got[0] == pytest.approx(q_substituted(ev, 1.62), rel=1e-10,
                                    abs=0.0)
@@ -637,10 +638,11 @@ def test_cancellation_fallback_engages():
     # table route
     ev = build_evaluator(ModelParams(5.0, 3.0))
     ts = np.array([800.0])
-    assert _series_lo(ev) <= ts[0] < ev.t_switch
+    assert ev.t_lo <= ts[0] < ev.t_switch
     assert _j_direct_with_loss(ev, ts)[1][0] > 2e-10
     got = q_density(ev, ts)
-    assert np.array_equal(got, _prefactor(2.0, ts) * _j_series(ev, ts))
+    assert np.array_equal(got, _prefactor(2.0, ts)
+                          * _j_series(ev._series, ts))
     assert got[0] == pytest.approx(_prefactor(2.0, ts)[0]
                                    * _j_table(ev, ts)[0][0],
                                    rel=1e-12, abs=0.0)
@@ -648,15 +650,14 @@ def test_cancellation_fallback_engages():
                                    abs=0.0)
 
 
-def series_tolerance(ev, ts):
-    """The interpolant's match tolerance at ts (see _log_j_series): the
-    table's roundoff there plus the one carried from the nodes."""
-    y_lo, y_hi, nodes, _ = ev._series
+def series_tolerance(series, source, ts):
+    """A panel's match tolerance at ts (see _log_j_series): the
+    source's error there plus the one carried from the nodes."""
+    y_lo, y_hi, nodes, _ = series
     node_ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + nodes))
     z = (2.0 * np.log(ts) - (y_lo + y_hi)) / (y_hi - y_lo)
-    return _match_tol(_lagrange_basis(nodes, z),
-                      _table_noise(*_j_table(ev, node_ts)),
-                      _table_noise(*_j_table(ev, ts)))
+    return _match_tol(_lagrange_basis(nodes, z), source(node_ts)[1],
+                      source(ts)[1])
 
 
 # the benchmark's high-drift pairs, then large x and x near 1
@@ -668,9 +669,35 @@ def test_log_j_series_matches_the_table(mu, x):
     ev = ev_for(mu, x)
     assert ev._series is not None
     assert ev._series[2].size in (65, 129, 257, 513)
-    ts = np.geomspace(_series_lo(ev), ev.t_switch, 200)
-    rel = np.abs(_j_series(ev, ts) / _j_table(ev, ts)[0] - 1.0)
-    assert np.all(rel <= 10.0 * series_tolerance(ev, ts))
+    ts = np.geomspace(ev.t_lo, ev.t_switch, 200)
+    rel = np.abs(_j_series(ev._series, ts) / _j_table(ev, ts)[0] - 1.0)
+    source = functools.partial(_j_table, ev)
+    assert np.all(rel <= 10.0 * series_tolerance(ev._series, source, ts))
+
+
+# the benchmark's density pairs, low drift then high
+BENCHMARK_DENSITY_PAIRS = [
+    *itertools.product((0.0, 0.3, 0.8, 1.2), (1.5, 2.0, 3.0)),
+    *itertools.product((2.2, 2.5, 3.7, 5.3, 7.0), (2.0, 3.0)), (9.3, 1.5)]
+
+
+# the panel below t_lo against the values q took there before it, the
+# direct route with its handover: at the benchmark's density pairs, and
+# next to the hitting level and far from it; where nodes hand over
+# (x = 10, 100 at mu = 7) the table's roundoff widens the match
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("mu,x", [
+    *BENCHMARK_DENSITY_PAIRS, (0.3, 1.0 + 1e-9), (9.3, 1.0 + 1e-9), (0.3, 1.001), (9.3, 1.001),
+    (0.3, 10.0), (7.0, 10.0), (0.3, 100.0), (7.0, 100.0)])
+def test_log_j_series_below_t_lo_matches_the_direct_route(mu, x):
+    ev = ev_for(mu, x)
+    series = ev._series_below
+    assert series is not None
+    assert series[2].size in (33, 65, 129)
+    ts = np.geomspace(ev.t_min, ev.t_lo, 200, endpoint=False)
+    source = functools.partial(_j_direct_with_handover, ev)
+    rel = np.abs(_j_series(series, ts) / source(ts)[0] - 1.0)
+    assert np.all(rel <= 10.0 * series_tolerance(series, source, ts))
 
 
 # next to an odd half-integer the interpolant's match with the table
@@ -679,7 +706,7 @@ def test_log_j_series_matches_the_table(mu, x):
 @pytest.mark.parametrize("mu", [1.5 + 1e-9, 3.5 + 1e-9])
 def test_no_series_next_to_odd_half_integer(mu):
     ev = build_evaluator(ModelParams(mu, 2.0))
-    ts = np.geomspace(_series_lo(ev), ev.t_switch, 60)
+    ts = np.geomspace(ev.t_lo, ev.t_switch, 60)
     _, loss = _j_direct_with_loss(ev, ts)
     handed = loss > density._DIRECT_LOSS_TOL
     assert handed.any()
@@ -690,64 +717,83 @@ def test_no_series_next_to_odd_half_integer(mu):
 
 
 def test_build_evaluator_leaves_the_series_to_first_use():
-    # built on the first handed-over point inside [t_lo, t_switch] only:
-    # not in build_evaluator, whose time the benchmark reports as setup,
-    # and not for points past t_switch, which the table serves
+    # each panel is built on the first point in its interval only: not
+    # in build_evaluator, whose time the benchmark reports as setup, and
+    # not for points past t_switch, which the table serves
     ev = build_evaluator(ModelParams(7.0, 2.0))
     assert "_series" not in ev.__dict__
     q_density(ev, np.array([2e3, 1e6]))
     assert "_series" not in ev.__dict__
     q_density(ev, 500.0)
     assert ev._series is not None
+    assert "_series_below" not in ev.__dict__
+    q_density(ev, 0.01)
+    assert ev._series_below is not None
 
 
 def test_direct_route_unchanged_by_the_series():
-    # below t_lo q is the direct route's, bit for bit, whether or not the
-    # interpolant has been built, and those points do not build it
+    # below t_min q is the direct route's, bit for bit, whether or not
+    # either panel has been built, and those points build neither
     ev = build_evaluator(ModelParams(7.0, 3.0))
-    ts = np.geomspace(1e-2, _series_lo(ev), 40, endpoint=False)
+    ts = np.geomspace(ev.t_min / 2.5, ev.t_min, 40, endpoint=False)
     j_val, loss = _j_direct_with_loss(ev, ts)
     assert np.all(loss <= density._DIRECT_LOSS_TOL)
     before = q_density(ev, ts)
     assert "_series" not in ev.__dict__
+    assert "_series_below" not in ev.__dict__
     assert np.array_equal(before, _prefactor(2.0, ts) * j_val)
     q_density(ev, np.geomspace(1e-2, ev.t_switch, 200))
-    assert ev._series is not None
+    assert ev._series is not None and ev._series_below is not None
     assert np.array_equal(q_density(ev, ts), before)
 
 
-# the benchmark's density pairs at both drifts, large x and x near 1
+# the benchmark's density pairs at both drifts, large x and x near 1;
+# at (9.3, 10) the panel below t_lo does not settle
 @pytest.mark.parametrize("mu,x", [(0.0, 1.5), (0.3, 2.0), (1.2, 3.0),
                                   (2.2, 2.0), (7.0, 2.0), (9.3, 1.5),
                                   (9.3, 10.0), (7.0, 1.05)])
 def test_q_density_takes_its_routes_in_order(mu, x):
-    # the interpolant on [t_lo, t_switch], bit for bit; below t_lo the
-    # direct route, or the table where its loss passes 2e-12; past
+    # bit for bit, at points inside each interval and at its ends: below
+    # t_min the direct route, or the table where its loss passes 2e-12;
+    # on [t_min, t_lo) the panel below t_lo where it exists, and the
+    # direct route otherwise; on [t_lo, t_switch] the panel above; past
     # t_switch the table
     ev = ev_for(mu, x)
-    lo, hi = _series_lo(ev), ev.t_switch
-    ts = np.concatenate([np.geomspace(1e-3, 10.0 * hi, 300), [lo, hi]])
+    lo, hi = ev.t_lo, ev.t_switch
+    # from t_min / 2.5 on the prefactor, e^{-lam^2/4t}, is not zero
+    ts = np.concatenate([np.geomspace(ev.t_min / 2.5, 10.0 * hi, 300),
+                         [ev.t_min, lo, hi]])
     got = q_density(ev, ts)
     pre = _prefactor(ev.params.lam, ts)
-    series = (ts >= lo) & (ts <= hi)
-    assert np.array_equal(got[series], pre[series] * _j_series(ev, ts[series]))
-    below = ts < lo
+    below = ts < ev.t_min
+    if ev._series_below is None:
+        below = ts < lo
+    else:
+        at = (ts >= ev.t_min) & (ts < lo)
+        assert np.count_nonzero(at) >= 10
+        assert np.array_equal(got[at],
+                              pre[at] * _j_series(ev._series_below, ts[at]))
     j_val, loss = _j_direct_with_loss(ev, ts[below])
-    kept = loss <= density._DIRECT_LOSS_TOL
-    assert np.array_equal(got[below][kept], pre[below][kept] * j_val[kept])
+    handed = loss > density._DIRECT_LOSS_TOL
+    assert np.count_nonzero(~handed) >= 5
+    if handed.any():
+        j_val[handed] = _j_table(ev, ts[below][handed])[0]
+    assert np.array_equal(got[below], pre[below] * j_val)
     table = ts > hi
-    table[below] = ~kept
     assert np.array_equal(got[table], pre[table] * _j_table(ev, ts[table])[0])
+    at = (ts >= lo) & (ts <= hi)
+    assert np.array_equal(got[at], pre[at] * _j_series(ev._series, ts[at]))
 
 
 # z lands exactly on the end nodes at t_lo and t_switch, and on many
-# interior nodes at their own t, where 1 / (z - node) is infinite
+# interior nodes at their own t, where 1 / (z - node) is infinite; the
+# panel below t_lo meets its bottom node at t_min
 @pytest.mark.parametrize("mu,x", [(0.3, 2.0), (7.0, 2.0), (9.3, 1.5)])
 def test_q_density_on_interpolant_nodes(mu, x):
     ev = ev_for(mu, x)
     y_lo, y_hi, nodes, folded = ev._series
     want = np.exp(folded[:, 0] / folded[:, 1])
-    ends = np.array([_series_lo(ev), ev.t_switch])
+    ends = np.array([ev.t_lo, ev.t_switch])
     got = q_density(ev, ends)
     assert np.array_equal(got, _prefactor(ev.params.lam, ends) * want[[-1, 0]])
     node_ts = np.exp(y_lo + 0.5 * (y_hi - y_lo) * (1.0 + nodes[1:-1]))
@@ -755,6 +801,9 @@ def test_q_density_on_interpolant_nodes(mu, x):
     assert np.all(np.isfinite(got))
     assert np.count_nonzero(got == want[1:-1]) >= 10
     assert np.allclose(got, want[1:-1], rtol=1e-13, atol=0.0)
+    folded = ev._series_below[3]
+    assert q_density(ev, ev.t_min) == (_prefactor(ev.params.lam, ev.t_min)
+                                       * np.exp(folded[-1, 0] / folded[-1, 1]))
 
 
 def test_high_drift_density_never_reaches_the_far_origin_law(monkeypatch):
@@ -1086,6 +1135,128 @@ def test_density_along_x_literals_recompute():
                 == _Q_TALBOT_X_AXIS[(mu, x, f)]), (mu, x)
 
 
+# q at small times, t = f lam^2 inside [t_min, t_lo), where the panel
+# below t_lo serves: q_talbot(mu, x, f * lam * lam) printed by repr with
+# mpmath 1.3.0, keyed (mu, x, f), over the x of _Q_TALBOT_X_AXIS but
+# 1e3 and six of its mu.  Every entry settled: at 55 digits Talbot
+# prints the same double.  The 40- and 55-digit inversions of the 84
+# took about 1600 s on a shared 2-vCPU machine, up to 260 s each at
+# (7, 10, 0.01).
+SMALL_T_XS = (1.0 + 1e-6, 1.001, 1.05, 10.0, 30.0, 100.0, 1e4)
+SMALL_T_MUS = (0.0, 0.3, 2.2, 3.7, 7.0, 9.3)
+SMALL_T_FRACS = (0.003, 0.01)
+_Q_TALBOT_SMALL_T = {
+    (0.0, 1.000001, 0.003): 1.1053661058653215e-21,
+    (0.0, 1.000001, 0.01): 3917.7146745420987,
+    (0.3, 1.000001, 0.003): 1.105366437475037e-21,
+    (0.3, 1.000001, 0.01): 3917.715849856086,
+    (2.2, 1.000001, 0.003): 1.1053685376721974e-21,
+    (2.2, 1.000001, 0.01): 3917.723293519364,
+    (3.7, 1.000001, 0.003): 1.1053701957253888e-21,
+    (3.7, 1.000001, 0.01): 3917.729170105426,
+    (7.0, 1.000001, 0.003): 1.1053738434511122e-21,
+    (7.0, 1.000001, 0.01): 3917.7420986251705,
+    (9.3, 1.000001, 0.003): 1.1053763858124802e-21,
+    (9.3, 1.000001, 0.01): 3917.751109436385,
+    (0.0, 1.001, 0.003): 1.1048143900325745e-27,
+    (0.0, 1.001, 0.01): 0.0039157592521387756,
+    (0.3, 1.001, 0.003): 1.105145718111676e-27,
+    (0.3, 1.001, 0.01): 0.003916933565470877,
+    (2.2, 1.001, 0.003): 1.1072464240817839e-27,
+    (2.2, 1.001, 0.01): 0.003924378901893739,
+    (3.7, 1.001, 0.003): 1.1089076794542265e-27,
+    (3.7, 1.001, 0.01): 0.003930266594169172,
+    (7.0, 1.001, 0.003): 1.1125711671885728e-27,
+    (7.0, 1.001, 0.01): 0.003943250004811889,
+    (9.3, 1.001, 0.003): 1.1151316190404818e-27,
+    (9.3, 1.001, 0.01): 0.003952323895353896,
+    (0.0, 1.05, 0.003): 4.314917313098787e-31,
+    (0.0, 1.05, 0.01): 1.5293290734947354e-06,
+    (0.3, 1.05, 0.003): 4.378536640697945e-31,
+    (0.3, 1.05, 0.01): 1.5518752426139505e-06,
+    (2.2, 1.05, 0.003): 4.803678417904669e-31,
+    (2.2, 1.05, 0.01): 1.7024227072694705e-06,
+    (3.7, 1.05, 0.003): 5.168094292957096e-31,
+    (3.7, 1.05, 0.01): 1.831301821762447e-06,
+    (7.0, 1.05, 0.003): 6.069397932313311e-31,
+    (7.0, 1.05, 0.01): 2.149412875076328e-06,
+    (9.3, 1.05, 0.003): 6.788357975671425e-31,
+    (9.3, 1.05, 0.01): 2.40252516361818e-06,
+    (0.0, 10.0, 0.003): 4.340960004470824e-36,
+    (0.0, 10.0, 0.01): 1.5581582351250878e-11,
+    (0.3, 10.0, 0.003): 8.642961136023541e-36,
+    (0.3, 10.0, 0.01): 3.08821852737774e-11,
+    (2.2, 10.0, 0.003): 6.137288714871511e-34,
+    (2.2, 10.0, 0.01): 1.7277921158574187e-09,
+    (3.7, 10.0, 0.003): 1.5756988854409314e-32,
+    (3.7, 10.0, 0.01): 2.877249699034042e-08,
+    (7.0, 10.0, 0.003): 1.3771593023547173e-29,
+    (7.0, 10.0, 0.01): 5.050188586249141e-06,
+    (9.3, 10.0, 0.003): 1.155389093539835e-27,
+    (9.3, 10.0, 0.01): 9.08607171608479e-05,
+    (0.0, 30.0, 0.003): 2.4467034623499516e-37,
+    (0.0, 30.0, 0.01): 8.997712931531083e-13,
+    (0.3, 30.0, 0.003): 6.740336128622624e-37,
+    (0.3, 30.0, 0.01): 2.4459645799101857e-12,
+    (2.2, 30.0, 0.003): 2.9935895776477464e-34,
+    (2.2, 30.0, 0.01): 5.62238127258289e-10,
+    (3.7, 30.0, 0.003): 2.5211367279460254e-32,
+    (3.7, 30.0, 0.01): 1.6452635088245614e-08,
+    (7.0, 30.0, 0.003): 1.5194086114892528e-28,
+    (7.0, 30.0, 0.01): 4.268948746537227e-06,
+    (9.3, 30.0, 0.003): 3.1739196535038915e-26,
+    (9.3, 30.0, 0.01): 7.405259133162928e-05,
+    (0.0, 100.0, 0.003): 1.1964279001526895e-38,
+    (0.0, 100.0, 0.01): 4.634213827774384e-14,
+    (0.3, 100.0, 0.003): 4.6626786401686907e-38,
+    (0.3, 100.0, 0.01): 1.7485728041505664e-13,
+    (2.2, 100.0, 0.003): 1.0092686423947947e-34,
+    (2.2, 100.0, 0.01): 1.007281324010956e-10,
+    (3.7, 100.0, 0.003): 1.690688044075375e-32,
+    (3.7, 100.0, 0.01): 3.3410130849075467e-09,
+    (7.0, 100.0, 0.003): 2.0041436001224319e-28,
+    (7.0, 100.0, 0.01): 8.384992116781093e-07,
+    (9.3, 100.0, 0.003): 4.9742117298259545e-26,
+    (9.3, 100.0, 0.01): 1.3436424513328319e-05,
+    (0.0, 10000.0, 0.003): 2.5062024470780207e-43,
+    (0.0, 10000.0, 0.01): 1.2755707252601809e-18,
+    (0.3, 10000.0, 0.003): 2.896179103774177e-42,
+    (0.3, 10000.0, 0.01): 1.2633674484043917e-17,
+    (2.2, 10000.0, 0.003): 3.224276209089868e-38,
+    (2.2, 10000.0, 0.01): 1.493173793509517e-14,
+    (3.7, 10000.0, 0.003): 6.481519810626618e-36,
+    (3.7, 10000.0, 0.01): 4.932298239037086e-13,
+    (7.0, 10000.0, 0.003): 8.194657860610358e-32,
+    (7.0, 10000.0, 0.01): 1.1732996259340886e-10,
+    (9.3, 10000.0, 0.003): 2.0056430794012624e-29,
+    (9.3, 10000.0, 0.01): 1.8009924250109632e-09,
+}
+
+
+# worst 1.1e-11, at (9.3, 10, 0.01), where the panel below t_lo does not
+# settle and the table takes the point over from the direct route
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("x", SMALL_T_XS)
+def test_density_at_small_t_matches_talbot(x):
+    lam = x - 1.0
+    ts = np.array([f * lam * lam for f in SMALL_T_FRACS])
+    for mu in SMALL_T_MUS:
+        ev = build_evaluator(ModelParams(mu, x))
+        assert np.all((ts >= ev.t_min) & (ts < ev.t_lo))
+        want = [_Q_TALBOT_SMALL_T[(mu, x, f)] for f in SMALL_T_FRACS]
+        assert q_density(ev, ts) == pytest.approx(want, rel=1e-10,
+                                                  abs=0.0), mu
+
+
+@pytest.mark.slow
+def test_density_at_small_t_literals_recompute():
+    # two of the cheapest entries, 0.1-0.2 s each
+    for mu, x, f in [(7.0, 1.0 + 1e-6, 0.01), (9.3, 1.001, 0.003)]:
+        lam = x - 1.0
+        assert (q_talbot(mu, x, f * lam * lam)
+                == _Q_TALBOT_SMALL_T[(mu, x, f)]), (mu, x)
+
+
 # at half-integer mu the kernel is e^{z v} terms alone, which a single
 # quadrature panel from 10 (1 + lam) to 0.5 sqrt(T) used to miss
 @pytest.mark.parametrize("mu", [0.3, 1.2, 1.5, 2.5, 3.5])
@@ -1112,6 +1283,31 @@ def test_density_next_to_odd_half_integer_matches_talbot():
     mu = 1.5 + 1e-9
     assert q_density(ev_for(mu, 2.0), 5.0) == pytest.approx(
         q_talbot(mu, 2.0, 5.0), rel=1e-8, abs=0.0)
+
+
+# q_talbot(1.5 + 1e-6, 2, t) printed by repr with mpmath 1.3.0 (55 digits
+# agree); there the interpolant above t_lo does not settle, so the
+# direct route with its handover serves every t up to t_switch
+_Q_TALBOT_NEAR_THREE_HALVES = {
+    0.1: 1.3399506269284585,
+    1.0: 0.2504509392405929,
+    10.0: 0.0024428208115413953,
+    100.0: 9.59728771825069e-06,
+}
+
+
+# 8.3e-14, 5.1e-12, 3.3e-10 and 1.3e-13 off at t = 0.1, 1, 10 and 100
+@pytest.mark.parametrize("t", [
+    0.1, 1.0,
+    pytest.param(10.0, marks=pytest.mark.xfail(
+        strict=True, reason="3.3e-10 off Talbot at mu = 1.5 + 1e-6, past "
+        "the 1e-10 q_density states (ROADMAP items 6 and 9)")),
+    100.0])
+def test_density_at_three_halves_plus_1e6_matches_talbot(t):
+    ev = ev_for(1.5 + 1e-6, 2.0)
+    assert q_density(ev, t) == pytest.approx(
+        _Q_TALBOT_NEAR_THREE_HALVES[t], rel=1e-10, abs=0.0)
+    assert ev._series is None
 
 
 # the kernel's origin piece divides the absolute error of cos(pi mu) by
@@ -1257,6 +1453,30 @@ def test_table_route_work_budget(monkeypatch):
     assert 0 < first_rows <= 4000
     assert sum(rows) == first_rows
     assert np.array_equal(first, second)
+
+
+def test_benchmark_density_curves_take_only_the_interpolant(monkeypatch):
+    # the first curve over the benchmark's t range builds both panels
+    # from the direct route and the table; every later point comes from
+    # a panel, so neither route runs again
+    calls = []
+
+    def counted(f):
+        def run(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return run
+
+    for name in ("_j_direct_with_loss", "_j_table"):
+        monkeypatch.setattr(density, name, counted(getattr(density, name)))
+    ts = np.geomspace(1e-2, 1e3, 1000)
+    for mu, x in BENCHMARK_DENSITY_PAIRS:
+        ev = build_evaluator(ModelParams(mu, x))
+        q_density(ev, ts)
+        assert calls, (mu, x)
+        calls.clear()
+        q_density(ev, ts)
+        assert not calls, (mu, x)
 
 
 @pytest.mark.parametrize("mu,max_nodes,grid_nodes", [(0.3, 130, 1416),

@@ -216,6 +216,13 @@ def test_plane_kernel_meets_tail_law_where_the_kernel_underflows(mu, rho):
                                 abs=0.0)
 
 
+# a value past the bottom of the normal range keeps few digits: 1.69e-308
+# at (9.3, 1e16), 2.2e-3 off the tail law, returned without a word before
+def test_plane_kernel_below_the_normal_range_raises_domain_error():
+    with pytest.raises(DomainError, match="rho = 1e"):
+        kernel_closed(PoissonParams(2, ModelParams(9.3, 2.0), 1e16))
+
+
 # farther out kappa = v (2 lam + v) leaves double range on the table's
 # extension panels (rho from about 3e153) or on the far part's (here
 # from 1e145), and DomainError names the radius; before, overflow
