@@ -30,18 +30,17 @@ for the two callers not yet on the table.  q takes four routes:
   lam^2/1000 (q's Gaussian factor is e^{-250} there), from the direct
   route's, as below t_lo the table is off near x = 1 (1e-7 at (mu, x, t)
   = (9.3, 1.05, 0.02 lam^2)).  Each is built on its first point: the
-  upper in 9-170 ms, the lower in 2.5-4.5 ms at x <= 3 (mostly the
-  direct route's rule), 23-31 ms where nodes hand over to the table and
-  100-130 ms where it does not settle;
+  upper in 9-170 ms, the lower in 1-1.5 ms at x <= 3, 23-31 ms where
+  nodes hand over to the table and 100-130 ms where it does not settle;
 * the direct route, below t_min and where a panel does not settle (the
   upper next to odd half-integer mu, the lower at (9.3, 10) and (9.3,
   30)): the polynomial part of E_l integrates to closed kernel moments
   and the e^{-kappa/4t} part, after completing the square in v, to a
   dot product of scaled complementary error functions over the
-  kernel's short rule in log u (32-128 nodes).  The pieces cancel as t
-  grows, so every point carries a loss estimate: roundoff, the rule's
-  measured deviation and a bound on the grid nodes left out at small u.
-  A point whose estimate passes 2e-12 is handed over to the table;
+  kernel's live u-grid nodes.  The pieces cancel as t grows, so every
+  point carries a loss estimate: the roundoff of the pieces and of the
+  sums' terms, and a bound on the grid nodes left out at small u.  A
+  point whose estimate passes 2e-12 is handed over to the table;
 * the table route, for t beyond t_switch and for the handed-over points:
   :func:`table_integral` of E_l at sigma = 4t with reach 40, past which
   e^{-s} is below 1e-17 of the polynomial part and the far part is
@@ -120,9 +119,8 @@ class DensityEvaluator:
     rest up to t_switch take the direct route, which hands a point whose
     cancellation estimate crosses _DIRECT_LOSS_TOL (2e-12 relative) to
     the table route, as it does every point beyond t_switch.  The
-    table's t-independent factors, each panel and the direct route's
-    short rule are built on the first point that needs them and kept
-    for the evaluator's life.
+    table's t-independent factors and each panel are built on the first
+    point that needs them and kept for the evaluator's life.
     """
 
     w: WLambdaRep
@@ -234,8 +232,11 @@ def table_integral(ev: DensityEvaluator, sigma: np.ndarray, f0, coefs,
     R_j = taylor_remainder(f0, coefs, ., j, switch(j)).  Each sigma gets
     the fewest ratio-2 panels past the table's top that bring
     kappa/sigma there to `reach` (DomainError where kappa on them leaves
-    double range), and the sigmas with one count share one product, so
-    no value depends on the other scales.  The sum
+    double range).  That count is each sigma's own, and the sigmas with
+    one count share one product, but BLAS's row blocking of it can move
+    a value by its roundoff, which the summands' cancellation amplifies:
+    a 70-point call at (mu, x) = (9.3, 10) is up to 8e-12 off its
+    one-point calls, and at (7, 2) up to 2e-13.  The sum
     R_j(kappa_k/sigma) @ (W_k w(v_k)) is completed by the polynomial
     part's exact tail -sum_{i <= j} c_i T_i sigma^{-i}, T_i =
     int_top^infty kappa^i w dv; f past the top is the caller's
@@ -358,7 +359,8 @@ def _j_direct_with_loss(ev: DensityEvaluator,
     s_val, s_err = ev.w.exp_weighted_integral(ts)
     j_val = lead - m0 + s_val
     scale = np.maximum(np.abs(lead), np.maximum(abs(m0), np.abs(s_val)))
-    loss = (2.3e-16 * scale + s_err) / np.maximum(np.abs(j_val), 1e-300)
+    with np.errstate(over="ignore"):    # inf hands the point over
+        loss = (2.3e-16 * scale + s_err) / np.maximum(np.abs(j_val), 1e-300)
     return j_val, loss
 
 

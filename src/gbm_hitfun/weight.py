@@ -28,14 +28,12 @@ rows in the order one product over all points on one BLAS thread would
 (OpenBLAS's gemv sums the rows left over from its row groups in another
 order).  Integrating the exponentials in v first leaves sums of one
 sign per set, which is how the moments reach near machine accuracy.
-The density's direct route gets its erfcx-weighted integral over a
-short Gauss rule in log u (32-128 nodes), built on first use, together
-with a bound on its error.
+The density's direct route takes its erfcx-weighted integral over the
+same modes, together with a bound on its error.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,7 +41,6 @@ from typing import Tuple
 
 import numpy as np
 from scipy import special as sp
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .bessel import KZeroSet, gamma_fn, is_half_integer, k_zero_set
@@ -78,8 +75,8 @@ class ModelParams:
             raise DomainError(f"start point must exceed 1, got {self.x}")
         if self.x - 1.0 < 0.05:
             warnings.warn(
-                "x within 0.05 of the hitting level: kernel evaluation "
-                "loses accuracy to cancellation", stacklevel=2)
+                "x within 0.05 of the hitting level: survival loses "
+                "accuracy to cancellation", stacklevel=2)
 
     @property
     def lam(self) -> float:
@@ -365,50 +362,6 @@ class _ContinuousKernel:
         self.u, self.amp = self.u[:self.u.size - top], amp[:amp.size - top]
         self.live, self.drop_lo = slice(lo, None), float(mass[:lo].sum())
 
-    @functools.cached_property
-    def rule(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """(u, amp, dev): an n-node Gauss rule in y = log u for the measure
-        |amp| on the live nodes, signed as coef, and its largest relative
-        deviation from the live nodes' erfcx product at 40 t in [1e-4,
-        1e4 max(1, lam^2)], past the density's switch time.
-
-        Discretized Stieltjes (Gautschi, Orthogonal Polynomials, 2004) on
-        y mapped onto [-1, 1] gives the Jacobi matrix, whose eigenvectors
-        give the weights.  n doubles from 32 until dev <= 1e-14; the live
-        nodes stay, with dev 0, if 256 miss or the rule is not shorter.
-        """
-        u, amp = self.u[self.live], self.amp[self.live]
-        if u.size <= 32:
-            return u, amp, 0.0
-        lam, mass = self.x - 1.0, np.abs(amp)
-        sq = np.sqrt(np.geomspace(1e-4, 1e4 * max(1.0, lam * lam), 40))
-
-        def product(nodes, weights):
-            # summed pairwise: a BLAS order adds noise near 1e-15
-            return (sp.erfcx(0.5 * lam / sq[:, None] + nodes * sq[:, None])
-                    * weights).sum(axis=1)
-
-        ref = product(u, amp)
-        y = np.log(u)
-        s = (2.0 * y - y[0] - y[-1]) / (y[-1] - y[0])
-        p_prev, p = np.zeros_like(s), np.full_like(s, mass.sum() ** -0.5)
-        alpha, beta = [], [0.0]
-        for n in (32, 64, 128, 256):
-            if n >= u.size:
-                break
-            while len(alpha) < n:
-                alpha.append(mass @ (s * p * p))
-                r = (s - alpha[-1]) * p - beta[-1] * p_prev
-                beta.append(math.sqrt(mass @ (r * r)))
-                p_prev, p = p, r / beta[-1]
-            nodes, vecs = eigh_tridiagonal(alpha, beta[1:n])
-            u_n = np.exp(0.5 * (nodes * (y[-1] - y[0]) + y[0] + y[-1]))
-            amp_n = np.sign(self.coef) * mass.sum() * vecs[0] ** 2
-            dev = float(np.max(np.abs(product(u_n, amp_n) / ref - 1.0)))
-            if dev <= 1e-14:
-                return u_n, amp_n, dev
-        return u, amp, 0.0
-
     def w2(self, v) -> np.ndarray:
         """w2 on an array of v >= 0, flattened: the mode sum plus the
         origin piece coef int_0^{u_lo} h(u) u e^{-u v} du, which carries
@@ -572,14 +525,14 @@ class WLambdaRep:
 
         Completing the square in v turns the discrete part into the real
         part of a dot product of Faddeeva values with amp, and the
-        continuous part into a dot product of erfcx over the kernel's
-        short rule in log u; both stay bounded, so S is evaluated without
-        overflow at any t.  The rule is off the product over the grid's
-        live nodes by up to its deviation dev relative to that product,
-        the continuous part S2, measured at 40 t when it was built.  The
-        grid ends where its mass does, and the nodes cut below the live
-        range add at most cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t), D_L
-        their |amp| mass.  err = cut + dev |S2|.
+        continuous part S2 into a dot product of erfcx with the grid's
+        live amplitudes, per tile of t (_tiled); both stay bounded, so S
+        is evaluated without overflow at any t.  The nodes cut below the
+        live range add at most cut = sqrt(pi t) D_L erfcx(lam / 2 sqrt t),
+        D_L their |amp| mass, and the sums' roundoff is eps times their
+        l1 norms: sqrt(pi t) sum_i |A_i w_i| over the discrete terms and
+        |S2| over the continuous ones, which share one sign.  err = cut +
+        eps (sqrt(pi t) sum_i |A_i w_i| + |S2|).
         """
         ts = np.asarray(ts, dtype=float)
         lam = self.params.lam
@@ -589,15 +542,22 @@ class WLambdaRep:
         # and e^{c^2/4t} erfc(c/2 sqrt t) = wofz(i c / 2 sqrt t)
         c = lam - 2.0 * ts[:, None] * self.rate
         wz = sp.wofz(0.5j * c / sq[:, None])
-        out = (wz @ self.amp).real * (_SQRT_PI * sq)
+        s1 = (wz @ self.amp).real * (_SQRT_PI * sq)
+        s1_norm = (np.abs(wz) @ np.abs(self.amp)) * (_SQRT_PI * sq)
         kern = self._kernel
-        u, amp, dev = kern.rule
-        # in place: fresh temporaries here take up to 1.8x the time
-        b = sq[:, None] * u
-        b += 0.5 * lam / sq[:, None]
-        s2 = (_SQRT_PI * sq) * (sp.erfcx(b, out=b) @ amp)
+        u, amp = kern.u[kern.live], kern.amp[kern.live]
+
+        def erfcx_product(tt):
+            # in place: fresh temporaries here take up to 1.8x the time
+            s = np.sqrt(tt)[:, None]
+            b = s * u
+            b += 0.5 * lam / s
+            return sp.erfcx(b, out=b) @ amp
+
+        s2 = (_SQRT_PI * sq) * _tiled(erfcx_product, ts, u.size)
         cut = _SQRT_PI * sq * kern.drop_lo * sp.erfcx(0.5 * lam / sq)
-        return out + s2, cut + dev * np.abs(s2)
+        eps = np.finfo(float).eps
+        return s1 + s2, cut + eps * (s1_norm + np.abs(s2))
 
     def eval_weighted(self, v: np.ndarray, wts: np.ndarray) -> np.ndarray:
         """wts w(v) at a 1-d array of v >= 0 and of weights wts > 0, bit

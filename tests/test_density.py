@@ -1323,14 +1323,26 @@ def test_density_next_to_even_half_integer_matches_talbot(mu, t):
 
 
 # direct values 1.3e-9 to 4.8e-8 off Talbot whose loss estimate read
-# under 2e-10 until it counted the error of the kernel product (its
-# rule's deviation times |S|); they now take the table route
+# under 2e-10 until it counted the error of the kernel product (now
+# the roundoff of its terms: 1.5e-10 to 6.7e-10, past the 2e-12 of the
+# handover).  The upper panel serves five; at (7.6, 3) it does not
+# settle, and the direct route hands t = 1.056 to the table
 @pytest.mark.parametrize("mu,x,t", [
     (2.2, 10.0, 300.0), (1.2, 10.0, 2e4), (3.0, 1.1, 13.0),
     (7.6, 3.0, 1.056), (1.9, 10.0, 1032.0), (3.9, 5.0, 15.68)])
 def test_direct_loss_estimate_hands_over_at_large_x(mu, x, t):
     assert q_density(ev_for(mu, x), t) == pytest.approx(
         _Q_TALBOT[(mu, x, t)], rel=1e-9, abs=0.0)
+
+
+def test_direct_loss_overflow_hands_the_point_over():
+    # at (7, 1e4) the pieces of J cancel to nearly 0 from t = lam^2 on,
+    # and the loss ratio may overflow to inf, without a RuntimeWarning
+    ev = ev_for(7.0, 1e4)
+    _, loss = _j_direct_with_loss(ev, (1e4 - 1.0) ** 2
+                                  * np.array([1.0, 10.0, 1e2, 1e3]))
+    assert np.all(loss > density._DIRECT_LOSS_TOL)
+    assert np.isinf(loss).any()
 
 
 @pytest.mark.parametrize("mu,x", [(5.0, 2.0), (7.0, 2.0), (9.3, 2.0),
@@ -1479,44 +1491,38 @@ def test_benchmark_density_curves_take_only_the_interpolant(monkeypatch):
         assert not calls, (mu, x)
 
 
-@pytest.mark.parametrize("mu,max_nodes,grid_nodes", [(0.3, 130, 1416),
-                                                     (0.0, 130, 2377)])
-def test_direct_route_work_budget(monkeypatch, mu, max_nodes, grid_nodes):
-    # the direct route's erfcx product runs over the kernel's short rule
-    # (64 nodes here), and building the rule on the first call costs 40
-    # t over the grid's live part (1196 and 1025 of its nodes); the
-    # stored grid ends where its mass does, and w2, the moment tails
-    # and the benchmark's tracer all read that one node set
-    evals = []
+@pytest.mark.parametrize("mu,budget,grid_nodes", [(0.3, 130, 1416),
+                                                  (0.0, 130, 2377)])
+def test_direct_route_work_budget(monkeypatch, mu, budget, grid_nodes):
+    # the direct route's erfcx product runs over the grid's live nodes
+    # (1196 and 1025 of them here), plus one erfcx per point for the
+    # bound on the nodes below them; over a 1000-point curve it serves
+    # only the lower panel's 65 nodes, under `budget` erfcx per curve
+    # point.  The stored grid ends where its mass does, and w2, the
+    # moment tails and the benchmark's tracer all read that one node set
+    evals, points = [], []
     erfcx = weight.sp.erfcx
+    direct = density._j_direct_with_loss
 
     def counted_erfcx(z, *args, **kwargs):
         evals.append(np.size(z))
         return erfcx(z, *args, **kwargs)
 
+    def counted_direct(ev, ts):
+        points.append(ts.size)
+        return direct(ev, ts)
+
     monkeypatch.setattr(weight.sp, "erfcx", counted_erfcx)
+    monkeypatch.setattr(density, "_j_direct_with_loss", counted_direct)
     ev = build_evaluator(ModelParams(mu, 2.0))
     ts = np.geomspace(1e-2, 1e3, 1000)
     assert np.all(ts <= ev.t_switch)
     q_density(ev, ts)
-    assert sum(evals) <= max_nodes * ts.size
-    assert ev.w._kernel.u.size == grid_nodes
-
-
-def test_build_evaluator_leaves_the_kernel_rule_to_first_use(
-        monkeypatch):
-    # the direct route's short rule is built on the first point below
-    # t_lo, not in build_evaluator, whose time the benchmark reports as
-    # setup, nor for the points the interpolant serves
-    def no_rule(*args, **kwargs):
-        raise AssertionError("the kernel rule was built")
-
-    monkeypatch.setattr(weight, "eigh_tridiagonal", no_rule)
-    ev = build_evaluator(ModelParams(0.3, 2.0))
-    q_density(ev, np.array([1.0, 1e4]))
-    assert ev._series is not None
-    with pytest.raises(AssertionError, match="kernel rule"):
-        q_density(ev, 0.01)
+    kern = ev.w._kernel
+    assert kern.u.size == grid_nodes
+    assert sum(points) == ev._series_below[2].size == 65
+    assert sum(evals) == (kern.u[kern.live].size + 1) * sum(points)
+    assert sum(evals) <= budget * ts.size
 
 
 # over mu <= 1.2, x <= 3 the direct route keeps nearly every point up

@@ -140,7 +140,10 @@ def test_params_reject_subnormal_drift(mu):
 
 
 def test_params_warns_near_level():
-    with pytest.warns(UserWarning):
+    # q holds to 3e-15 of Talbot at x = 1 + 1e-9 to 1.001; what loses
+    # accuracy near the level is survival, 7.1e2 off at (7, 1.05, T =
+    # 0.1 lam^2)
+    with pytest.warns(UserWarning, match="^x within 0.05 .*survival"):
         ModelParams(1.0, 1.01)
 
 
@@ -660,6 +663,28 @@ def test_moment_identities_along_x(mu):
             2.0 * scale, rel=1e-12, abs=0.0), x
 
 
+# within is_half_integer's 1e-12 the kernel drops its continuous part:
+# at x = 1.001 the identities are then 1.0e-10 (M0) and 2.0e-10 (M1)
+# off, where they hold to 8e-15 and 2e-14 at 7/2 itself
+_DROPS_THE_CONTINUOUS_PART = pytest.mark.xfail(
+    strict=True, reason="within 1e-12 of a half-integer the kernel drops "
+    "its continuous part (ROADMAP item 9)")
+
+
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("mu", [
+    3.5,
+    pytest.param(3.5 - 5e-13, marks=_DROPS_THE_CONTINUOUS_PART),
+    pytest.param(3.5 + 5e-13, marks=_DROPS_THE_CONTINUOUS_PART)])
+def test_moment_identities_next_to_a_half_integer(mu):
+    x = 1.001
+    rep = build_w(ModelParams(mu, x))
+    scale = x ** (mu - 0.5)
+    assert w_moment(rep, 0) == pytest.approx(
+        scale * (mu * mu - 0.25) / (2.0 * x), rel=1e-12, abs=0.0)
+    assert w_moment(rep, 1) == pytest.approx(2.0 * scale, rel=1e-12, abs=0.0)
+
+
 def test_moment_two_vanishes_five_halves():
     rep = build_w(ModelParams(2.5, 2.0))
     assert abs(w_moment(rep, 2)) <= 1e-8
@@ -813,18 +838,15 @@ def test_grid_ends_where_its_mass_ends(mu, x):
                                 7.0, 9.3])
 @pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
 def test_exp_weighted_integral_matches_full_grid(mu, x):
-    # the erfcx product runs over the kernel's short rule in log u, built
-    # from the grid's live nodes; against the sum over every node it may
-    # be off by the error bound it returns (the bound on the nodes cut
-    # below the live range plus the rule's deviation times |S|) and 8
-    # ulp of the sum of |terms|
+    # the erfcx product runs over the grid's live nodes; against the sum
+    # over every node it may be off by the error bound it returns (the
+    # bound on the nodes cut below the live range plus one ulp of |S2|)
+    # and 8 ulp of the sum of |terms|
     lam = x - 1.0
     rep = replace(build_w(ModelParams(mu, x)), amp=np.empty(0),
                   rate=np.empty(0))
     kern = rep._kernel
     mass = np.abs(kern.amp)
-    assert kern.rule[0].size <= 128
-    assert kern.rule[2] <= 1e-14
     # t up to the density's switch time 1e3 max(1, lam^2)
     ts = np.geomspace(1e-3, 1e3 * max(1.0, lam * lam), 200)
     sq = np.sqrt(ts)[:, None]
@@ -843,60 +865,79 @@ def test_exp_weighted_integral_matches_full_grid(mu, x):
     assert np.all(np.abs(got - full) <= bound)
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.01, 0.3, 1.2, 1.4999, 7.0, 9.3])
-@pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
-def test_exp_weighted_integral_dense_in_t(mu, x):
-    # the rule's deviation is measured at 40 t; between them, and down
-    # to t = 1e-6, the returned bound must hold against an
-    # extended-precision sum over every node of the grid
-    lam = x - 1.0
-    rep = replace(build_w(ModelParams(mu, x)), amp=np.empty(0),
-                  rate=np.empty(0))
+def check_dense_in_t(rep):
+    # between t = 1e-6 and the switch time the returned bound, with 8 ulp
+    # of the sum of |terms|, must hold against an extended-precision sum
+    # over every mode and every node of the grid, on the same Faddeeva
+    # values (scipy's own error is not the sum's)
+    lam = rep.params.lam
     kern = rep._kernel
     ts = np.geomspace(1e-6, 1e3 * max(1.0, lam * lam), 2000)
     sq = np.sqrt(ts)[:, None]
     erfcx = sp.erfcx(0.5 * lam / sq + kern.u * sq)
-    full = (math.sqrt(math.pi) * sq[:, 0].astype(np.longdouble)
-            * (erfcx.astype(np.longdouble) * kern.amp).sum(axis=1))
-    size = math.sqrt(math.pi) * sq[:, 0] * (erfcx @ np.abs(kern.amp))
+    wz = sp.wofz(0.5j * (lam - 2.0 * ts[:, None] * rep.rate) / sq)
+    terms = ((erfcx.astype(np.longdouble) * kern.amp).sum(axis=1)
+             + (wz.astype(np.clongdouble) * rep.amp).sum(axis=1).real)
+    full = np.sqrt(np.longdouble(math.pi) * ts) * terms
+    size = math.sqrt(math.pi) * sq[:, 0] * (
+        erfcx @ np.abs(kern.amp) + np.abs(wz) @ np.abs(rep.amp))
     got, err = rep.exp_weighted_integral(ts)
     bound = err + (1e-20 + 8.0 * np.finfo(float).eps) * size
     assert np.all(np.abs(got - full).astype(float) <= bound)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.01, 0.3, 1.2, 1.4999, 7.0, 9.3])
+@pytest.mark.parametrize("x", [1.1, 2.0, 10.0])
+def test_exp_weighted_integral_dense_in_t(mu, x):
+    # the continuous part alone
+    check_dense_in_t(replace(build_w(ModelParams(mu, x)), amp=np.empty(0),
+                             rate=np.empty(0)))
+
+
+# with the discrete modes kept: just above 3/2 the mode of a pair of
+# zeros next to the cut is -2 S2, so S = -S2, and at (9.3, 1.5) the
+# discrete terms' l1 norm is 10-12 times |S2|
+@pytest.mark.parametrize("mu,x", [(1.5 + 1e-6, 2.0), (9.3, 1.5)])
+def test_exp_weighted_integral_dense_in_t_with_the_discrete_modes(mu, x):
+    check_dense_in_t(build_w(ModelParams(mu, x)))
+
+
 @pytest.mark.parametrize("mu,x", [(7.0, 2.0), (9.3, 10.0)])
-def test_exp_weighted_integral_scales_the_rule_error_by_its_own_part(mu, x):
-    # the rule's deviation is relative to the continuous part S2, so the
-    # bound carries dev |S2|, not dev |S|: here |S| / |S2| runs from 13
-    # down to 9 at (7, 2) and from 1.7 down to 0.55 at (9.3, 10)
+def test_exp_weighted_integral_error_is_the_roundoff_of_its_terms(mu, x):
+    # err = cut + eps (sqrt(pi t) sum_i |A_i w_i| + |S2|): the bound on
+    # the nodes cut below the live range, and one ulp of the discrete
+    # terms' l1 norm and of the continuous part S2, whose terms share
+    # one sign; the stripped kernel keeps only cut + eps |S2|
     rep = build_w(ModelParams(mu, x))
     cont = replace(rep, amp=np.empty(0), rate=np.empty(0))
     ts = np.geomspace(1e-2, 1e3, 30)
+    sq = np.sqrt(ts)
     got, err = rep.exp_weighted_integral(ts)
     s2, err2 = cont.exp_weighted_integral(ts)
-    ratio = np.abs(got / s2)
-    assert np.max(np.maximum(ratio, 1.0 / ratio)) > 1.5
-    assert np.array_equal(err, err2)
-    dev = rep._kernel.rule[2]
+    wz = sp.wofz(0.5j * (x - 1.0 - 2.0 * ts[:, None] * rep.rate)
+                 / sq[:, None])
+    l1 = np.sqrt(np.pi * ts) * (np.abs(wz) @ np.abs(rep.amp))
+    assert np.all(l1 > np.abs(s2))
     cut = (np.sqrt(np.pi * ts) * rep._kernel.drop_lo
-           * sp.erfcx(0.5 * (x - 1.0) / np.sqrt(ts)))
-    assert np.allclose(err, cut + dev * np.abs(s2), rtol=1e-14, atol=0.0)
+           * sp.erfcx(0.5 * (x - 1.0) / sq))
+    eps = np.finfo(float).eps
+    assert np.allclose(err2, cut + eps * np.abs(s2), rtol=1e-14, atol=0.0)
+    assert np.allclose(err, cut + eps * (l1 + np.abs(s2)), rtol=1e-14,
+                       atol=0.0)
 
 
 def test_exp_weighted_integral_with_an_empty_live_range():
     # at a half-integer drift the continuous part is an empty mode set:
-    # its live range and rule are empty, with deviation 0, and S is the
-    # discrete part alone (one conjugate pair at 5/2; four pairs and a
-    # real zero at 19/2), with a zero error bound
+    # its live range is empty, and S is the discrete part alone (one
+    # conjugate pair at 5/2; four pairs and a real zero at 19/2), with
+    # an error bound of one ulp of its terms' l1 norm
     ts = np.geomspace(1e-2, 1e3, 50)
     sq = np.sqrt(ts)
     for mu in (2.5, 9.5):
         rep = build_w(ModelParams(mu, 2.0))
         kern = rep._kernel
-        assert kern.u[kern.live].size == 0
-        assert kern.rule[0].size == 0 and kern.rule[2] == 0.0
+        assert kern.u[kern.live].size == 0 and kern.drop_lo == 0.0
         got, err = rep.exp_weighted_integral(ts)
-        assert np.array_equal(err, np.zeros(50))
         empty = replace(rep, amp=np.empty(0), rate=np.empty(0))
         assert np.array_equal(empty.exp_weighted_integral(ts)[0],
                               np.zeros(50))
@@ -910,3 +951,5 @@ def test_exp_weighted_integral_with_an_empty_live_range():
         want, size = sum(terms).real, sum(np.abs(terms))
         assert np.all(np.abs(got - want)
                       <= 4.0 * np.finfo(float).eps * size), mu
+        assert np.allclose(err, np.finfo(float).eps * size.astype(float),
+                           rtol=1e-14, atol=0.0), mu
