@@ -21,7 +21,8 @@ kappa/sigma at the top falls short of it gets the fewest ratio-2
 panels past the top that reach it.  :func:`far_integral` owns the far
 part, int w f past the top, by more such panels;
 :func:`adaptive_integral` is the table's adaptive sibling up to a cut,
-for the two callers not yet on the table.  q takes four routes:
+for the two callers not yet on the table.  All read w2 from the
+kernel's interpolant (:mod:`.weight`).  q takes four routes:
 
 * two panels of one barycentric interpolant of log J in log t
   (:func:`_log_j_series`, 33-513 Chebyshev points), one product per
@@ -70,6 +71,8 @@ from .bessel import gamma_fn, is_half_integer
 from .errors import DomainError
 from .quadrature import (
     QuadratureSpec,
+    chebyshev_points,
+    chebyshev_weights,
     gauss_legendre_panels,
     geometric_edges,
     integrate_finite,
@@ -416,25 +419,11 @@ def _match_tol(basis: np.ndarray, node_noise: np.ndarray,
     return np.maximum(1e-12, noise + np.sqrt(basis ** 2 @ node_noise ** 2))
 
 
-def _cheb_points(n: int) -> np.ndarray:
-    """The n + 1 Chebyshev points of the second kind on [-1, 1],
-    descending, in the symmetric form sin(pi (n - 2k) / 2n): point k of
-    n is bit for bit point 2k of 2n."""
-    return np.sin(0.5 * np.pi * np.arange(n, -n - 1.0, -2.0) / n)
-
-
-def _cheb_weights(size: int) -> np.ndarray:
-    """Barycentric weights of Chebyshev points: (-1)^k, ends halved."""
-    wts = np.where(np.arange(size) % 2, -1.0, 1.0)
-    wts[[0, -1]] *= 0.5
-    return wts
-
-
 def _lagrange_basis(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Row i: the Lagrange basis of the Chebyshev points `nodes` at z_i
     in [-1, 1], by the second barycentric formula, so that basis @ f is
     the interpolant of f; a z_i on a node gets that node's unit row."""
-    wts = _cheb_weights(nodes.size)
+    wts = chebyshev_weights(nodes.size)
     diff = z[:, None] - nodes[None, :]
     hit = diff == 0.0
     c = np.where(hit.any(axis=1)[:, None], hit,
@@ -469,11 +458,11 @@ def _log_j_series(t_lo: float, t_hi: float, source):
         return np.log(j_val), noise
 
     n = 32
-    nodes = _cheb_points(n)
+    nodes = chebyshev_points(n)
     vals, noise = log_j(nodes)
     while vals is not None and n < 512:
         n *= 2
-        wider = _cheb_points(n)
+        wider = chebyshev_points(n)
         new, new_noise = log_j(wider[1::2])
         if new is None:
             return None
@@ -484,7 +473,7 @@ def _log_j_series(t_lo: float, t_hi: float, source):
         vals = np.insert(new, np.arange(vals.size), vals)
         noise = np.insert(new_noise, np.arange(noise.size), noise)
         if matched:
-            wts = _cheb_weights(n + 1)
+            wts = chebyshev_weights(n + 1)
             return y_lo, y_hi, nodes, np.stack([wts * vals, wts], axis=1)
     return None
 
@@ -710,8 +699,10 @@ def survival(ev: DensityEvaluator, big_t: float) -> float:
     From s = kappa/4T = 0.1 on, R_l still cancels to s^{l+1}/(l+1)!, so
     at high drift digits are lost: relative 6.5e-8 at (mu, x, T) =
     (5.3, 2, 60), 3.6e-7 at (7, 2, 5) and 3.1e-2 at (7, 2, 60).  At
-    (9.3, 2) it returns 4.0e-18 at T = 60, where Talbot inversion gives
-    4.0e-23, and is 4.6e-3 off at T = 600 (ROADMAP item 1 mends both).
+    (9.3, 2) it is 5.1e-9 off Talbot inversion at T = 0.1, 3.0e-9 at
+    T = 0.6 and 4.6e-6 at T = 1.5; it returns 4.0e-18 at T = 60, where
+    Talbot gives 4.0e-23, and is 4.6e-3 off at T = 600 (ROADMAP item 1
+    mends these).
 
     It is the total mass where the direct route's |J(t)| <= x^{mu-1/2}
     /2t + 2 int |w| bounds the mass below T, x^{mu-1/2} erfc(sqrt z0) +

@@ -13,7 +13,9 @@ intervals that carry the error.  Semi-infinite integrals run over
 geometrically widening panels under an exponential envelope |f(u)| <=
 M exp(-decay_rate*u) that the caller asserts, sampled to bound the
 discarded tail, which goes into the error estimate, not the value.
-Fixed composite Gauss-Legendre panels carry the u-grid and v-table.
+Fixed composite Gauss-Legendre panels carry the u-grid and v-table;
+Chebyshev points of the second kind and their barycentric weights carry
+the interpolants of w2 in v and of log J in log t.
 """
 
 from __future__ import annotations
@@ -306,3 +308,17 @@ def geometric_edges(lo: float, hi: float, ratio: float = 2.0):
         raise DomainError("ratio must exceed 1")
     n = max(1, int(np.ceil(np.log(hi / lo) / np.log(ratio))))
     return lo * (hi / lo) ** (np.arange(n + 1) / n)
+
+
+def chebyshev_points(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev points of the second kind on [-1, 1],
+    descending, in the symmetric form sin(pi (n - 2k) / 2n): point k of
+    n is bit for bit point 2k of 2n."""
+    return np.sin(0.5 * np.pi * np.arange(n, -n - 1.0, -2.0) / n)
+
+
+def chebyshev_weights(size: int) -> np.ndarray:
+    """Barycentric weights of Chebyshev points: (-1)^k, ends halved."""
+    wts = np.where(np.arange(size) % 2, -1.0, 1.0)
+    wts[[0, -1]] *= 0.5
+    return wts

@@ -18,22 +18,26 @@ an explicit prefactor plus an integral against a kernel w_lam on
 A composite Gauss-Legendre u-grid, ended where the mass of h u ends,
 makes w2 a sum of amp_k e^{-u_k v} (an empty sum at half-integer mu)
 plus an origin piece, the small-u law of h integrated below the grid.
-So both parts are mode sets a e^{z v}, Re z < 0, and every functional
-of w taken here (values and the power-moment tails int_vcut^infty v^p
-w dv) has one closed form per mode, one array product's real part over
-either set, plus the origin piece's own.  Values run the product tile by tile over v, in tiles of
-about 2^16 (point x mode) entries and a multiple of 64 points, so that
-no call writes more than a cache-sized temporary and each tile sums its
-rows in the order one product over all points on one BLAS thread would
-(OpenBLAS's gemv sums the rows left over from its row groups in another
-order).  Integrating the exponentials in v first leaves sums of one
-sign per set, which is how the moments reach near machine accuracy.
-The density's direct route takes its erfcx-weighted integral over the
-same modes, together with a bound on its error.
+So both parts are mode sets a e^{z v}, Re z < 0, and every functional of
+w taken here (values and the power-moment tails int_vcut^infty v^p w dv)
+has one closed form per mode, one array product's real part over either
+set, plus the origin piece's own.  Up to v = 2^39, w2 is read from a
+piecewise-Chebyshev interpolant of its sum, built on its first value
+(10-20 ms): within 7.7e-15 of it for x <= 100, 3.0e-14 at x = 1e4.
+Mode sums run the product tile by tile over v, in tiles of about 2^16 (point x
+mode) entries and a multiple of 64 points, so that no call writes more
+than a cache-sized temporary and each tile sums its rows in the order
+one product over all points on one BLAS thread would (OpenBLAS's gemv
+sums the rows left over from its row groups in another order).
+Integrating the exponentials in v first leaves sums of one sign per set,
+which is how the moments reach near machine accuracy.  The density's
+direct route takes its erfcx-weighted integral over the same modes,
+together with a bound on its error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -46,6 +50,8 @@ from scipy.optimize import brentq
 from .bessel import KZeroSet, gamma_fn, is_half_integer, k_zero_set
 from .errors import ConvergenceError, DomainError
 from .quadrature import (
+    chebyshev_points,
+    chebyshev_weights,
     gauss_legendre_panels,
     geometric_edges,
     integrate_finite,
@@ -154,8 +160,8 @@ def _discrete_modes(params: ModelParams,
 # the real part of each is the conjugate-closed sum
 
 # entries of one tile's (points x width) temporaries in _tiled, 0.5-1
-# MB; one product over the 7680 points of a 512-interval adaptive call
-# would write 85-146 MB
+# MB; one product over the 1386 nodes of w2's interpolant would write
+# 15-26 MB
 _TILE_ENTRIES = 2 ** 16
 
 
@@ -233,6 +239,13 @@ _LOG_ORIGIN_REACH = 1e-9
 # cap on the terms of the small-u law of h for mu > 0
 _ORIGIN_TERMS = 400
 
+# w2's interpolant: panels [0, 1/4] and [2^k, 2^(k+1)], k = -2..38, of
+# 33 points (25 were 1.1e-13 off at (9.3, 1.001)); its top stays below
+# 1/u_lo = 1e12, so every node takes the origin piece's near series
+_W2_EDGES = np.r_[0.0, 2.0 ** np.arange(-2.0, 40.0)]
+_W2_NODES = chebyshev_points(32)
+_W2_WEIGHTS = chebyshev_weights(_W2_NODES.size)
+
 
 def _resonance_refinement(mu: float) -> np.ndarray:
     """Extra grid edges resolving the near-cut resonance of h.
@@ -308,14 +321,17 @@ def _origin_coefs(mu: float, x: float,
 
 class _ContinuousKernel:
     """The continuous part as a mode set on a fixed u-grid plus its
-    origin piece.
+    origin piece, and an interpolant of w2 in v.
 
     Holds amp_k = coef W_k h(u_k) u_k on a shared composite
-    Gauss-Legendre grid, so that w2 values and tail moments of w2 are
-    sums over the modes (amp_k, -u_k), each term of one sign (full
-    relative accuracy, no cancellation), and the small-u law of h below
-    the grid's first node u_lo for mu > 0.  At half-integer mu the set
-    is empty and has no origin law.
+    Gauss-Legendre grid, so that the exact w2 (w2_sum) and tail moments
+    of w2 are sums over the modes (amp_k, -u_k), each term of one sign
+    (full relative accuracy, no cancellation), and the small-u law of h
+    below the grid's first node u_lo for mu > 0.  w2 reads, up to v =
+    2^39, a barycentric interpolant of the sum at 33 Chebyshev points on
+    [0, 1/4] and on each octave [2^k, 2^(k+1)], built on first use.  At
+    half-integer mu the set is empty, has no origin law and builds no
+    interpolant.
     """
 
     def __init__(self, params: ModelParams):
@@ -363,9 +379,51 @@ class _ContinuousKernel:
         self.live, self.drop_lo = slice(lo, None), float(mass[:lo].sum())
 
     def w2(self, v) -> np.ndarray:
-        """w2 on an array of v >= 0, flattened: the mode sum plus the
-        origin piece coef int_0^{u_lo} h(u) u e^{-u v} du, which carries
-        w2 once v passes 1/u_lo."""
+        """w2 on an array of v >= 0, flattened: the interpolant up to its
+        top 2^39, the exact sum (w2_sum) above it and at half-integer mu,
+        where w2 = 0 and nothing is built."""
+        v = np.ravel(np.asarray(v, dtype=float))
+        near = v <= _W2_EDGES[-1]
+        if not (self.u.size and near.any()):
+            return self.w2_sum(v)
+        out = np.empty_like(v)
+        out[near] = self._w2_near(v[near])
+        if not near.all():
+            out[~near] = self.w2_sum(v[~near])
+        return out
+
+    @functools.cached_property
+    def _w2_panels(self) -> np.ndarray:
+        """Row k: the barycentric weights times w2 ((1 + v)/(1 + a))^(2 mu
+        + 2) at the nodes of panel k = [a, b], w2 by the exact sum; the
+        factor leaves w2's v^-(2 mu + 2) tail nothing to resolve."""
+        a, b = _W2_EDGES[:-1, None], _W2_EDGES[1:, None]
+        v = a + 0.5 * (b - a) * (1.0 + _W2_NODES)
+        return (_W2_WEIGHTS * ((1.0 + v) / (1.0 + a)) ** (2.0 * self.mu + 2.0)
+                * self.w2_sum(v).reshape(v.shape))
+
+    def _w2_near(self, v: np.ndarray) -> np.ndarray:
+        """The interpolant at a 1-d array of v in [0, 2^39], by the second
+        barycentric formula on v's panel [a, b] in z = ((v - a) - (b -
+        v))/(b - a), exactly -1 and 1 at the ends; a z on a node (its
+        ratio is nan) takes that node's value."""
+        k = np.searchsorted(_W2_EDGES[1:-1], v, side="right")
+        a, b = _W2_EDGES[k], _W2_EDGES[k + 1]
+        z = ((v - a) - (b - v)) / (b - a)
+        folded = self._w2_panels[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.reciprocal(z[:, None] - _W2_NODES)
+            val = np.einsum("ij,ij->i", c, folded) / (c @ _W2_WEIGHTS)
+        hit = np.isnan(val).nonzero()[0]
+        if hit.size:
+            node = np.abs(z[hit, None] - _W2_NODES).argmin(axis=1)
+            val[hit] = folded[hit, node] / _W2_WEIGHTS[node]
+        return val / ((1.0 + v) / (1.0 + a)) ** (2.0 * self.mu + 2.0)
+
+    def w2_sum(self, v) -> np.ndarray:
+        """w2 on an array of v >= 0, flattened, as the exact sum: the mode
+        sum plus the origin piece coef int_0^{u_lo} h(u) u e^{-u v} du,
+        which carries w2 once v passes 1/u_lo."""
         v = np.ravel(np.asarray(v, dtype=float))
         if self.mu == 0.0:
             self._check_log_reach(np.max(v, initial=0.0))
@@ -500,9 +558,10 @@ class WLambdaRep:
     conjugate pair of zeros (see _discrete_modes), and the continuous
     part's mode set with its origin piece.
 
-    ``eval`` is exact to the working accuracy of the u-grid at every
-    v >= 0: the discrete part is summed directly and the continuous
-    part is the grid's mode sum plus its exact origin piece.
+    ``eval`` sums the discrete part directly at every v >= 0 and takes
+    the continuous part from the kernel's interpolant of the grid's mode
+    sum plus origin piece up to v = 2^39 (within 3.0e-14 of it), from
+    that sum above.
     """
 
     params: ModelParams
@@ -515,7 +574,9 @@ class WLambdaRep:
         return _modes_value(self.amp, self.rate, np.asarray(v, dtype=float))
 
     def w2_exact(self, v) -> np.ndarray:
-        """Continuous part on an array of v, at quadrature-grid accuracy."""
+        """Continuous part on an array of v, of v's shape: the
+        interpolant up to 2^39, the exact sum above (the name stays for
+        perfbench's tracer)."""
         return self._kernel.w2(v).reshape(np.shape(v))
 
     def exp_weighted_integral(self, ts) -> Tuple[np.ndarray, np.ndarray]:

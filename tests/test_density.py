@@ -51,7 +51,6 @@ from gbm_hitfun import density, poisson, weight
 from gbm_hitfun.density import (
     DensityEvaluator,
     TailConstant,
-    _cheb_points,
     _j_direct_with_handover,
     _j_direct_with_loss,
     _j_series,
@@ -828,12 +827,6 @@ def test_high_drift_density_never_reaches_the_far_origin_law(monkeypatch):
     assert reach and max(reach) < 1.0
 
 
-def test_chebyshev_points_nest():
-    # each doubling of the interpolant reuses every table value
-    for n in (32, 64, 128, 256):
-        assert np.array_equal(_cheb_points(2 * n)[::2], _cheb_points(n))
-
-
 # mu >= 9.5 is left out: there both routes sit about 1e-8 off the
 # Talbot inversion of the Laplace transform, through the error of the
 # discrete amplitudes A_i, so agreement there would check nothing more
@@ -1489,6 +1482,20 @@ def test_benchmark_density_curves_take_only_the_interpolant(monkeypatch):
         calls.clear()
         q_density(ev, ts)
         assert not calls, (mu, x)
+
+
+def test_w2_interpolant_is_built_on_first_use():
+    # the evaluator's set-up leaves the kernel's interpolant of w2
+    # unbuilt; the first value of w builds it, and a half-integer kernel,
+    # which has no continuous part, never builds one
+    ev = build_evaluator(ModelParams(2.2, 2.0))
+    assert "_w2_panels" not in vars(ev.w._kernel)
+    ev.w.eval(1.0)
+    assert "_w2_panels" in vars(ev.w._kernel)
+    half = build_evaluator(ModelParams(2.5, 2.0))
+    assert np.all(half.w.w2_exact(np.geomspace(1e-3, 1e13, 50)) == 0.0)
+    q_density(half, np.geomspace(1e-2, 1e5, 50))
+    assert "_w2_panels" not in vars(half.w._kernel)
 
 
 @pytest.mark.parametrize("mu,budget,grid_nodes", [(0.3, 130, 1416),

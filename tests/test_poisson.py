@@ -27,7 +27,7 @@ import pytest
 from scipy import integrate as sint
 from scipy import special as sp
 
-from gbm_hitfun import poisson
+from gbm_hitfun import poisson, weight
 from gbm_hitfun.density import (
     adaptive_integral,
     build_evaluator,
@@ -254,6 +254,35 @@ def test_kernel_tail_matches_closed_constant(mu, n, rel):
     tail = kernel_tail(PoissonParams(n, ModelParams(mu, x), 0.0))
     assert tail.regime == "power"
     assert tail.value == pytest.approx(want, rel=rel)
+
+
+@pytest.mark.parametrize("mu", [0.3, 2.2, 7.0])
+def test_adaptive_kernel_integrals_read_w2_from_the_interpolant(monkeypatch,
+                                                                mu):
+    # once one kernel_closed(n = 3) and one survival call have built the
+    # kernel's interpolant of w2, further kernel_closed, survival and
+    # kernel_tail calls at x = 2 take the exact sum (1100-3000 exp terms
+    # a point) on no point, where each integrand point took it before
+    points = []
+    exact = weight._ContinuousKernel.w2_sum
+
+    def counted(kernel, v):
+        points.append(np.size(v))
+        return exact(kernel, v)
+
+    monkeypatch.setattr(weight._ContinuousKernel, "w2_sum", counted)
+    model = ModelParams(mu, 2.0)
+    ev = cached_evaluator(mu, 2.0)
+    kernel_closed(PoissonParams(3, model, 1.0))
+    survival(ev, 1.0)
+    points.clear()
+    for n, rho in ((3, 0.5), (3, 20.0), (4, 3.0), (5, 100.0)):
+        kernel_closed(PoissonParams(n, model, rho))
+    for big_t in (0.1, 0.6, 5.0, 60.0):
+        survival(ev, big_t)
+    if mu < 3.0:    # at mu = 7 the extrapolation does not stabilize
+        kernel_tail(PoissonParams(4, model, 0.0))
+    assert not points
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

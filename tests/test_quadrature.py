@@ -13,6 +13,7 @@ from gbm_hitfun.errors import DomainError, EnvelopeError
 from gbm_hitfun.quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
+    chebyshev_points,
     gauss_legendre_panels,
     geometric_edges,
     integrate_finite,
@@ -158,3 +159,10 @@ def test_geometric_edges_shape():
         geometric_edges(0.0, 1.0)
     with pytest.raises(DomainError):
         geometric_edges(1.0, 2.0, ratio=1.0)
+
+
+def test_chebyshev_points_nest():
+    # each doubling of the log-J interpolant reuses every table value
+    for n in (32, 64, 128, 256):
+        assert np.array_equal(chebyshev_points(2 * n)[::2],
+                              chebyshev_points(n))

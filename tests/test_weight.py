@@ -448,17 +448,53 @@ def test_eval_interpolation_accuracy():
 
 @pytest.mark.parametrize("mu", [0.01, 0.3, 3.7])
 def test_w2_skips_only_an_origin_piece_below_roundoff(mu):
-    # w2 adds the origin piece at every v; where it is under 2^-55 of the
-    # grid sum it cannot move a bit, and elsewhere it must be there
+    # the exact sum adds the origin piece at every v; where it is under
+    # 2^-55 of the grid sum it cannot move a bit, and elsewhere it must
+    # be there
     kern = build_w(ModelParams(mu, 2.0))._kernel
     for hi in (1.0, 1e3, 1e6, 1e9, 1e12):
         v = np.geomspace(1e-3, hi, 200)
         grid = np.exp(-v[:, None] * kern.u[None, :]) @ kern.amp
         origin = kern.coef * kern._origin(2.0 * mu + 2.0, v)[:, 0]
-        got = kern.w2(v)
+        got = kern.w2_sum(v)
         assert np.array_equal(got, grid + origin)
         small = np.abs(origin) < 2.0 ** -55 * np.abs(grid)
         assert np.array_equal(got[small], grid[small])
+
+
+@pytest.mark.filterwarnings("ignore:x within 0.05")
+@pytest.mark.parametrize("mu", [0.0, 0.001, 0.3, 1.2, 2.2, 2.5001, 3.7, 5.3,
+                                7.0, 9.3, 9.9])
+@pytest.mark.parametrize("x", [1.001, 1.05, 2.0, 10.0, 100.0, 1e4])
+def test_w2_interpolant_meets_the_exact_sum(mu, x):
+    # up to its top 2^39 w2 comes from the kernel's piecewise-Chebyshev
+    # interpolant: measured within 7.7e-15 of the exact sum for x <= 100
+    # and 3.0e-14 at (9.9, 1e4), over v from 0 to 5.4e11
+    kern = build_w(ModelParams(mu, x))._kernel
+    v = np.concatenate([[0.0], np.geomspace(1e-4, 5.4e11, 12000),
+                        np.linspace(0.0, 64.0, 3000)])
+    exact = kern.w2_sum(v)
+    tol = 1e-14 if x <= 100.0 else 4e-14
+    assert np.all(np.abs(kern.w2(v) - exact) <= tol * np.abs(exact))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 2.2, 9.3])
+def test_w2_interpolant_is_continuous_at_its_edges(mu):
+    # v = 0, each panel edge 2^k and the top 2^39, past which the exact
+    # sum serves, are nodes: w2 there, and one ulp to either side, meets
+    # the exact sum's value at the edge; at mu = 0 the exact sum still
+    # raises past v = 1e51
+    kern = build_w(ModelParams(mu, 2.0))._kernel
+    assert kern.w2(np.zeros(1))[0] == pytest.approx(
+        kern.w2_sum(np.zeros(1))[0], rel=1e-15, abs=0.0)
+    edges = 2.0 ** np.arange(-2.0, 40.0)
+    exact = kern.w2_sum(edges)
+    for side in (-np.inf, None, np.inf):
+        v = edges if side is None else np.nextafter(edges, side)
+        assert np.all(np.abs(kern.w2(v) - exact) <= 1e-14 * np.abs(exact))
+    if mu == 0.0:
+        with pytest.raises(DomainError):
+            kern.w2(np.array([1.0, 1e52]))
 
 
 def test_eval_domain_and_shapes():
@@ -808,8 +844,9 @@ def test_grid_ends_where_its_mass_ends(mu, x):
     # the build cuts the u-grid's top run of nodes holding at most 1e-20
     # of sum |amp|, and no more.  Rebuilt from h on the 0.5-wide panels
     # from the one holding the last kept node out to u = 45, the dropped
-    # nodes hold at most that; w2 on the kept set meets the full-grid
-    # sum within 1e-20 relative plus roundoff, for v from 0 to 1e9
+    # nodes hold at most that; the exact sum on the kept set meets the
+    # full-grid sum within 1e-20 relative plus roundoff, for v from 0 to
+    # 1e9
     params = ModelParams(mu, x)
     kern = build_w(params)._kernel
     top = kern.u[-1]
@@ -824,7 +861,7 @@ def test_grid_ends_where_its_mass_ends(mu, x):
     assert np.abs(amp).sum() + abs(kern.amp[-1]) > 1e-20 * total
     v = np.concatenate([[0.0], np.geomspace(1e-3, 1e9, 300)])
     dropped = np.exp(-v[:, None] * u) @ amp
-    got = kern.w2(v)
+    got = kern.w2_sum(v)
     assert np.all(np.abs(dropped) <= 1e-20 * (1.0 + 1e-12) * np.abs(got))
     e = np.exp(-v[:, None] * np.concatenate([kern.u, u]))
     origin = kern.coef * kern._origin(2.0 * mu + 2.0, v)[:, 0]
