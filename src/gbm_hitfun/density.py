@@ -203,6 +203,13 @@ def taylor_remainder(f0, coefs, z: np.ndarray, j: int,
     sum_{i > j} c_i z^i is summed until a term falls under 1e-17 of the
     sum; above, the direct difference f0(z) - sum_{1 <= i <= j} c_i z^i
     no longer cancels deeply.
+
+    The stop is tested once every 8 terms.  A term under 1e-17 of the
+    sum is under half its ulp, and below switch the terms past it only
+    fall, so the ones added before the test leave the sum as it was and
+    no bit moves.  (The 1e-320 floor passes half an ulp only for sums
+    under 2e-304, which the package's series with j <= 10 reach only at
+    z under 1e-25, where the terms past the second underflow to 0.)
     """
     z = np.asarray(z, dtype=float)
     if j == 0:
@@ -212,11 +219,12 @@ def taylor_remainder(f0, coefs, z: np.ndarray, j: int,
     zs, zb = z[small], z[~small]
     zp = zs ** (j + 1)
     acc = coefs[j + 1] * zp
-    for c in coefs[j + 2:]:
+    for i, c in enumerate(coefs[j + 2:], 1):
         zp *= zs
         term = c * zp
         acc += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(acc) + 1e-320):
+        if not i % 8 and np.all(np.abs(term) <= 1e-17 * np.abs(acc)
+                                + 1e-320):
             break
     out[small] = acc
     poly = np.zeros_like(zb)
@@ -323,8 +331,15 @@ def adaptive_integral(ev: DensityEvaluator, sigma: float, f0, coefs,
 
     Gauss-Kronrod to rel_tol (absolute 1e-300) within `budget`
     subdivisions from the splits in (0, v_hi).  It drops `converged`:
-    survival at mu = 7 spends the budget at 7 of the benchmark's 8
-    times, and raising would fail the seeded mu = 7 points there.
+    40 calls of a seed-7 pass of perfbench's poisson_survival spend the
+    budget (1 393 440 of its 1 466 610 integrand points), at the
+    integrand's own roundoff floor, and raising would fail them.  No
+    stop at that floor is taken: a QUADPACK-style 50 eps int |f| stop
+    ran 1.7-1.8 times faster but moved pinned results (the workload's
+    accuracy_digits 6.0875 -> 5.916, and the adaptive oracle of
+    test_table_route_matches_adaptive_oracle at (mu, x) = (8.6, 1.1)
+    from 5.9e-11 to 2.3e-10 off Talbot); moving these calls onto the
+    table is the mend (ROADMAP item 1).
     """
     def integrand(v):
         return ev.w.eval(v) * taylor_remainder(

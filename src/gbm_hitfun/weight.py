@@ -160,8 +160,8 @@ def _discrete_modes(params: ModelParams,
 # the real part of each is the conjugate-closed sum
 
 # entries of one tile's (points x width) temporaries in _tiled, 0.5-1
-# MB; one product over the 1386 nodes of w2's interpolant would write
-# 15-26 MB
+# MB.  w2's interpolant runs tile by tile too (33 nodes a point,
+# 1984-point tiles): at 7680 points one product wrote three 2 MB arrays
 _TILE_ENTRIES = 2 ** 16
 
 
@@ -386,10 +386,11 @@ class _ContinuousKernel:
         near = v <= _W2_EDGES[-1]
         if not (self.u.size and near.any()):
             return self.w2_sum(v)
+        if near.all():
+            return self._w2_near(v)
         out = np.empty_like(v)
         out[near] = self._w2_near(v[near])
-        if not near.all():
-            out[~near] = self.w2_sum(v[~near])
+        out[~near] = self.w2_sum(v[~near])
         return out
 
     @functools.cached_property
@@ -406,19 +407,27 @@ class _ContinuousKernel:
         """The interpolant at a 1-d array of v in [0, 2^39], by the second
         barycentric formula on v's panel [a, b] in z = ((v - a) - (b -
         v))/(b - a), exactly -1 and 1 at the ends; a z on a node (its
-        ratio is nan) takes that node's value."""
-        k = np.searchsorted(_W2_EDGES[1:-1], v, side="right")
-        a, b = _W2_EDGES[k], _W2_EDGES[k + 1]
-        z = ((v - a) - (b - v)) / (b - a)
-        folded = self._w2_panels[k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.reciprocal(z[:, None] - _W2_NODES)
-            val = np.einsum("ij,ij->i", c, folded) / (c @ _W2_WEIGHTS)
-        hit = np.isnan(val).nonzero()[0]
-        if hit.size:
-            node = np.abs(z[hit, None] - _W2_NODES).argmin(axis=1)
-            val[hit] = folded[hit, node] / _W2_WEIGHTS[node]
-        return val / ((1.0 + v) / (1.0 + a)) ** (2.0 * self.mu + 2.0)
+        ratio is nan) takes that node's value.  Per tile of v (_tiled,
+        1984 points), with z - nodes inverted in place: each point's
+        value is its own, and 1984 is a multiple of 64, so the weights'
+        product sums every row in the order one product over all points
+        does and no bit moves."""
+        def tile(vt):
+            k = np.searchsorted(_W2_EDGES[1:-1], vt, side="right")
+            a, b = _W2_EDGES[k], _W2_EDGES[k + 1]
+            z = ((vt - a) - (b - vt)) / (b - a)
+            folded = self._w2_panels[k]
+            c = np.subtract.outer(z, _W2_NODES)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.reciprocal(c, out=c)
+                val = np.einsum("ij,ij->i", c, folded) / (c @ _W2_WEIGHTS)
+            hit = np.isnan(val).nonzero()[0]
+            if hit.size:
+                node = np.abs(z[hit, None] - _W2_NODES).argmin(axis=1)
+                val[hit] = folded[hit, node] / _W2_WEIGHTS[node]
+            return val / ((1.0 + vt) / (1.0 + a)) ** (2.0 * self.mu + 2.0)
+
+        return _tiled(tile, v, _W2_NODES.size)
 
     def w2_sum(self, v) -> np.ndarray:
         """w2 on an array of v >= 0, flattened, as the exact sum: the mode

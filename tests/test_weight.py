@@ -46,6 +46,7 @@ from gbm_hitfun.quadrature import (
 from gbm_hitfun.weight import (
     ModelParams,
     WLambdaRep,
+    _W2_NODES,
     _modes_value,
     build_w,
     h_mu_lambda,
@@ -613,6 +614,102 @@ def test_origin_tiles_bit_for_bit():
     for a in ([2.002], [0.002, 1.002]):
         got = kern._origin(a, v)
         assert got.tobytes() == origin_untiled(kern, a, v).tobytes(), a
+
+
+# the tiled interpolant against its formula over all points at once,
+# bit for bit, in a child process with one BLAS thread (as _TILE_CHECK):
+# 5000 unsorted v over all 42 panels, with the edges 2^k and the nodes
+_W2_TILE_CHECK = """
+import sys
+import numpy as np
+from gbm_hitfun.weight import (ModelParams, _W2_EDGES, _W2_NODES,
+                               _W2_WEIGHTS, build_w)
+
+
+def w2_near_untiled(kern, v):
+    k = np.searchsorted(_W2_EDGES[1:-1], v, side="right")
+    a, b = _W2_EDGES[k], _W2_EDGES[k + 1]
+    z = ((v - a) - (b - v)) / (b - a)
+    folded = kern._w2_panels[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.reciprocal(z[:, None] - _W2_NODES)
+        val = np.einsum("ij,ij->i", c, folded) / (c @ _W2_WEIGHTS)
+    hit = np.isnan(val).nonzero()[0]
+    if hit.size:
+        node = np.abs(z[hit, None] - _W2_NODES).argmin(axis=1)
+        val[hit] = folded[hit, node] / _W2_WEIGHTS[node]
+    return val / ((1.0 + v) / (1.0 + a)) ** (2.0 * kern.mu + 2.0)
+
+
+v = np.load(sys.argv[1])
+out = {}
+for mu in (0.0, 0.3, 7.0, 9.3):
+    kern = build_w(ModelParams(mu, 2.0))._kernel
+    got = kern._w2_near(v)
+    assert got.tobytes() == w2_near_untiled(kern, v).tobytes(), mu
+    out[str(mu)] = got
+np.savez(sys.argv[2], **out)
+"""
+
+
+def _w2_tile_points():
+    """5000 unsorted v in [0, 2^39]: the panel edges 0 and 2^k, every
+    interpolation node, and log-uniform points over all 42 panels."""
+    rng = np.random.default_rng(28)
+    edges = np.r_[0.0, 2.0 ** np.arange(-2.0, 40.0)]
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = a + 0.5 * (b - a) * (1.0 + _W2_NODES)
+    spread = 2.0 ** rng.uniform(-12.0, 39.0, 5000 - edges.size - nodes.size)
+    return rng.permutation(np.concatenate([edges, nodes.ravel(), spread]))
+
+
+def test_w2_interpolant_tiles_bit_for_bit(tmp_path):
+    # 1984-point tiles (33 nodes a point), a multiple of 64, so the
+    # weights' gemv sums each row as one product over all 5000 points does
+    v = _w2_tile_points()
+    assert v.size == 5000 and v.max() == 2.0 ** 39
+    assert np.unique(np.searchsorted(2.0 ** np.arange(-2.0, 39.0), v,
+                                     side="right")).size == 42
+    src = str(Path(gbm_hitfun.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    np.save(tmp_path / "v.npy", v)
+    out = tmp_path / "w2.npz"
+    subprocess.run([sys.executable, "-c", _W2_TILE_CHECK,
+                    str(tmp_path / "v.npy"), str(out)], env=env, check=True)
+    with np.load(out) as child:
+        assert len(child.files) == 4
+        for key in child.files:
+            kern = build_w(ModelParams(float(key), 2.0))._kernel
+            assert kern._w2_near(v).tobytes() == child[key].tobytes(), key
+            # past the top 2^39 the exact sum serves: w2 on v on both
+            # sides is its two parts, and on v below alone the
+            # interpolant's
+            assert kern.w2(v).tobytes() == child[key].tobytes(), key
+            both = np.concatenate([v[:500], 2.0 ** 39 + v[500:1000]])
+            near = both <= 2.0 ** 39
+            assert 0 < near.sum() < both.size
+            parts = np.empty_like(both)
+            parts[near] = kern._w2_near(both[near])
+            parts[~near] = kern.w2_sum(both[~near])
+            assert kern.w2(both).tobytes() == parts.tobytes(), key
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 7.0, 9.3])
+def test_w2_memory_is_tile_sized(mu):
+    # w2 on 100 000 points, its interpolant built: one product over all
+    # of them wrote three 26 MB arrays (84 MB peak), the tiles 0.5 MB
+    kern = build_w(ModelParams(mu, 2.0))._kernel
+    kern.w2(np.ones(1))
+    v = np.geomspace(1e-3, 1e6, 100_000)
+    tracemalloc.start()
+    try:
+        kern.w2(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.001, 0.3, 7.0, 9.3])
